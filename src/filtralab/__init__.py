@@ -2,9 +2,9 @@
 
 Submodules: ``elemint`` (deterministic elementary-integral calculus),
 ``gluing`` (local-to-global semimartingale decomposition), ``paths``
-(simulation and pathwise conditioning data), ``drifts`` (closed-form drift
-evaluators), ``verify`` (Monte Carlo martingale certification),
-``scenarios``/``cli`` (experiment runner).
+(Bessel(3) simulation and per-path reference operations), ``drifts``
+(closed-form drift ingredients), ``verify`` (Monte Carlo martingale
+certification), ``scenarios``/``cli`` (block kernels and experiment runner).
 """
 
 from .grids import GridPath, PathEnsemble, TimeGrid

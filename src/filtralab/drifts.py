@@ -1,103 +1,33 @@
-"""Closed-form drift evaluators for the enlargement scenarios.
+"""Closed-form drift ingredients of the enlargement scenarios.
 
-Each evaluator turns one simulated path plus its conditioning data into a
-``DriftSeries``: per-step drift increments, zero outside a declared validity
-window.  Rates are evaluated at the left endpoint of each step (the
-predictable convention), so corrected increments never peek ahead.
-
-Instance processes are continuous throughout, which makes the dual
-projection terms of the progressive and honest formulas vanish; the
-``AzemaData`` fields for them exist so jump instances can be added later.
+The Azema supermartingales ``emery_Z`` (last passage at half the terminal
+value) and ``honest_Z`` (last zero before 1), the auxiliary function ``h``
+and its derivative, the running-supremum instance rate and the
+after-last-passage rate.  The scenarios' block kernels evaluate the drifts
+from these over whole blocks of paths, at the left endpoint of each step
+(the predictable convention); ``emery_Z`` and ``honest_Z`` are the closed
+forms those kernels are tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf, erfc
 
 from .errors import DomainError, SingularityError
-from .grids import GridPath, TimeGrid
-from .paths import ScaleFunction
 
 __all__ = [
-    "AzemaData",
-    "DriftSeries",
     "h_func",
     "h_func_prime",
     "emery_Z",
-    "emery_azema",
     "honest_Z",
-    "honest_azema",
-    "bridge_drift",
-    "progressive_drift",
-    "honest_drift",
-    "supremum_drift",
     "supremum_instance_rate",
     "emery_after_rate",
-    "emery_after_drift",
-    "future_inf_decomposition",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-@dataclass(frozen=True)
-class AzemaData:
-    """Azema supermartingale data for one path and one random time.
-
-    Z
-        supermartingale values per grid point, in [0, 1]
-    dNdW
-        dt-density of the bracket between Z's martingale part and the
-        instance martingale
-    BM
-        dual predictable projection term; identically 0 here because the
-        instance martingales are continuous
-    dualDelta
-        the optional-minus-predictable projection bracket term of the
-        honest-time formula; identically 0 for the same reason
-    """
-
-    Z: GridPath
-    dNdW: GridPath
-    BM: GridPath
-    dualDelta: GridPath
-
-
-@dataclass(frozen=True)
-class DriftSeries:
-    """Per-step drift increments with a validity window (lo, hi].
-
-    ``increments[k]`` is the drift picked up over (t_k, t_{k+1}]; it is 0
-    whenever t_{k+1} falls outside the window.
-    """
-
-    grid: TimeGrid
-    increments: np.ndarray = field(repr=False)
-    window: tuple
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        if len(inc) != self.grid.n:
-            raise DomainError("need one increment per grid step")
-        inc = inc.copy()
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-
-    def cumulative(self) -> GridPath:
-        out = np.empty(self.grid.n + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return GridPath(self.grid, out)
-
-
-def _window_mask(grid: TimeGrid, lo: float, hi: float) -> np.ndarray:
-    """Steps whose right endpoint lies in (lo, hi]."""
-    t_right = grid.times()[1:]
-    return (t_right > lo) & (t_right <= hi + 1e-12 * grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +64,6 @@ def emery_Z(w, t):
     return erfc(y / math.sqrt(2.0)) + _SQRT_2_OVER_PI * y * np.exp(-0.5 * y * y)
 
 
-def emery_azema(W: GridPath, horizon: float = 1.0) -> AzemaData:
-    """Z and the bracket density for the half-terminal last-passage time.
-
-    dNdW_t = -h'(|W_t|/sqrt(1-t)) * sgn(W_t) / sqrt(1-t); the kink of |w|
-    at 0 contributes no local time because h'(0) = 0.  Values at t >= 1
-    are padded with the last valid entry and must not be read (the windows
-    end strictly before the horizon).
-    """
-    t = W.times()
-    valid = t < horizon
-    tt = np.where(valid, t, 0.0)
-    root = np.sqrt(horizon - tt)
-    y = np.abs(W.values) / root
-    z = erfc(y / math.sqrt(2.0)) + _SQRT_2_OVER_PI * y * np.exp(-0.5 * y * y)
-    dndw = -h_func_prime(y) * np.sign(W.values) / root
-    z[~valid] = z[valid][-1]
-    dndw[~valid] = 0.0
-    zero = GridPath(W.grid, np.zeros(len(t)))
-    return AzemaData(GridPath(W.grid, z), GridPath(W.grid, dndw), zero, zero)
-
-
 def honest_Z(w, t):
     """Azema supermartingale of the last zero before time 1.
 
@@ -166,141 +75,6 @@ def honest_Z(w, t):
         raise DomainError("honest_Z requires t < 1")
     y = np.abs(np.asarray(w, dtype=float)) / np.sqrt(1.0 - t)
     return erfc(y / math.sqrt(2.0))
-
-
-def honest_azema(W: GridPath, horizon: float = 1.0) -> AzemaData:
-    """Z and bracket density for the last zero before the horizon.
-
-    dNdW_t = -2 phi(|W_t|/sqrt(1-t)) * sgn(W_t) / sqrt(1-t) with phi the
-    standard normal density; derived by differentiating the reflection
-    formula in w.
-    """
-    t = W.times()
-    valid = t < horizon
-    tt = np.where(valid, t, 0.0)
-    root = np.sqrt(horizon - tt)
-    y = np.abs(W.values) / root
-    z = erfc(y / math.sqrt(2.0))
-    phi = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-    dndw = -2.0 * phi * np.sign(W.values) / root
-    z[~valid] = z[valid][-1]
-    dndw[~valid] = 0.0
-    zero = GridPath(W.grid, np.zeros(len(t)))
-    return AzemaData(GridPath(W.grid, z), GridPath(W.grid, dndw), zero, zero)
-
-
-# ---------------------------------------------------------------------------
-# scenario drifts
-# ---------------------------------------------------------------------------
-
-
-def bridge_drift(W: GridPath, W1: float, delta: float = 0.05) -> DriftSeries:
-    """Initial enlargement with the terminal value: rate (W1 - W_t)/(1 - t).
-
-    Valid on (0, 1 - delta]; the rate is the logarithmic derivative of the
-    Gaussian conditional density of the terminal value.
-    """
-    grid = W.grid
-    t_left = grid.times()[:-1]
-    rate = (W1 - W.values[:-1]) / (1.0 - t_left)
-    inc = rate * grid.dt * _window_mask(grid, 0.0, 1.0 - delta)
-    return DriftSeries(grid, inc, (0.0, 1.0 - delta))
-
-
-def progressive_drift(M_is_W: GridPath, az: AzemaData, t_time: float) -> DriftSeries:
-    """Progressive-enlargement drift of the stopped instance martingale.
-
-    rate_t = (dNdW_t + dBM_t/dt) / Z_{t-} on (0, t_time]; the step
-    straddling t_time picks up the partial contribution rate * (t_time -
-    t_k), so the stopped corrected process can be built without bias.
-    """
-    grid = M_is_W.grid
-    t_left = grid.times()[:-1]
-    t_right = grid.times()[1:]
-    z_left = az.Z.values[:-1]
-    dbm = np.diff(az.BM.values)
-    active = t_left < t_time
-    if np.any(active & (z_left <= 0.0)):
-        k = int(np.nonzero(active & (z_left <= 0.0))[0][0])
-        raise SingularityError(
-            f"Azema supermartingale vanishes at grid index {k}; trim the window"
-        )
-    rate = np.where(active, (az.dNdW.values[:-1] + dbm / grid.dt), 0.0)
-    rate = np.divide(rate, z_left, out=np.zeros_like(rate), where=active)
-    dt_eff = np.where(t_right <= t_time, grid.dt, np.maximum(t_time - t_left, 0.0))
-    return DriftSeries(grid, rate * dt_eff, (0.0, t_time))
-
-
-def honest_drift(
-    W: GridPath,
-    az: AzemaData,
-    g: float,
-    delta: float = 0.05,
-    horizon_cap: float = 0.9,
-) -> DriftSeries:
-    """Two-sided honest-time drift: +dNdW/Z_- up to g, -dNdW/(1-Z_-) after.
-
-    The instance martingale is continuous, so the dual projection terms
-    vanish.  Increments are zeroed on (g - delta, g + delta] and after
-    ``horizon_cap``, the declared singular-neighbourhood trim; the step
-    straddling g contributes its partial before-g piece so the stopped
-    process stays unbiased.
-    """
-    grid = W.grid
-    t_left = grid.times()[:-1]
-    t_right = grid.times()[1:]
-    z_left = az.Z.values[:-1]
-    dndw = az.dNdW.values[:-1]
-
-    before = t_right <= g
-    after = t_left >= g
-    if np.any(before & (z_left <= 0.0)):
-        raise SingularityError("Z vanished before the honest time; trim the window")
-    if np.any(after & (1.0 - z_left <= 0.0) & (t_right <= horizon_cap)):
-        raise SingularityError("1 - Z vanished after the honest time; trim the window")
-
-    inc = np.zeros(grid.n)
-    inc[before] = dndw[before] / z_left[before] * grid.dt
-    # partial step up to g
-    strad = (~before) & (t_left < g)
-    inc[strad] = dndw[strad] / z_left[strad] * (g - t_left[strad])
-    denom = 1.0 - z_left
-    ok_after = after & (t_right <= horizon_cap) & (t_left >= g + delta)
-    inc[ok_after] = -dndw[ok_after] / denom[ok_after] * grid.dt
-    return DriftSeries(grid, inc, (0.0, horizon_cap))
-
-
-def supremum_drift(
-    U: GridPath,
-    X: GridPath,
-    Ttimes: np.ndarray,
-    bracketMX: GridPath,
-) -> DriftSeries:
-    """Initial enlargement with the whole running supremum, generic form.
-
-    increment_k = -(1/(U-X)) * (1 - (U-X)^2/(T-t)) * d<M,X> at the left
-    endpoint.  Steps starting at a record (U = X) contribute 0 when the
-    bracket increment vanishes there too (the instance case, where the
-    factor cancels); a non-cancelling bracket at a record is a genuine
-    singularity.
-    """
-    grid = X.grid
-    t_left = grid.times()[:-1]
-    gap = U.values[:-1] - X.values[:-1]
-    tau = np.asarray(Ttimes, dtype=float)[:-1] - t_left
-    dbr = np.diff(bracketMX.values)
-    inc = np.zeros(grid.n)
-    pos = gap > 0.0
-    ratio = np.zeros(grid.n)
-    ratio[pos] = gap[pos] ** 2 / tau[pos]
-    inc[pos] = -(1.0 / gap[pos]) * (1.0 - ratio[pos]) * dbr[pos]
-    bad = (~pos) & (dbr != 0.0)
-    if np.any(bad):
-        k = int(np.nonzero(bad)[0][0])
-        raise SingularityError(
-            f"non-cancelling bracket increment at record point, grid index {k}"
-        )
-    return DriftSeries(grid, inc, (0.0, grid.horizon))
 
 
 def supremum_instance_rate(gap: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -330,48 +104,3 @@ def emery_after_rate(w, t, W1):
     if np.any(denom == 0.0):
         raise SingularityError("rate evaluated on the singular set w = W1/2")
     return W1 / ((1.0 - t) * denom) - (w - W1) / (1.0 - t)
-
-
-def emery_after_drift(
-    W: GridPath,
-    W1: float,
-    xi: float,
-    delta: float = 0.05,
-    horizon_cap: float = 0.9,
-) -> DriftSeries:
-    """Drift increments on (xi + delta, horizon_cap], zero elsewhere."""
-    grid = W.grid
-    t_left = grid.times()[:-1]
-    mask = _window_mask(grid, xi + delta, horizon_cap)
-    inc = np.zeros(grid.n)
-    if np.any(mask):
-        inc[mask] = (
-            emery_after_rate(W.values[:-1][mask], t_left[mask], W1) * grid.dt
-        )
-    return DriftSeries(grid, inc, (xi + delta, horizon_cap))
-
-
-def future_inf_decomposition(
-    Z: GridPath,
-    I: GridPath,
-    scale: ScaleFunction,
-    bracket_eZ: GridPath,
-) -> tuple:
-    """Drift of e(Z) under the future-infimum enlargement, plus the transform.
-
-    Returns (DriftSeries, GridPath): the drift increments
-    2*d(e(I)) + d<e(Z)>/e(Z) and the companion local-martingale candidate
-    1/e(Z) - 2/e(I), which for e(z) = -1/z is 2*I - Z.
-    """
-    if np.any(Z.values <= 0.0) or np.any(I.values <= 0.0):
-        raise DomainError("future_inf_decomposition requires positive paths")
-    grid = Z.grid
-    e = np.vectorize(scale.e, otypes=[float])
-    e_z = e(Z.values)
-    e_i = e(I.values)
-    inc = 2.0 * np.diff(e_i) + np.diff(bracket_eZ.values) / e_z[:-1]
-    transform = 1.0 / e_z - 2.0 / e_i
-    return (
-        DriftSeries(grid, inc, (0.0, grid.horizon)),
-        GridPath(grid, transform),
-    )

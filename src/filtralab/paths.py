@@ -1,9 +1,10 @@
-"""Path simulation and pathwise enlargement data.
+"""Bessel(3) simulation, bridge extrema and per-path reference operations.
 
-Simulates the driving processes (Brownian motion, three-dimensional Bessel)
-and extracts, path by path, the quantities each enlargement scenario
-conditions on: running supremum, future infimum, last-passage times, and
-next-supremum-increase times.
+The scenarios' block kernels simulate and condition whole blocks of paths;
+this module holds what they share and the per-path forms tests compare
+against: exact Brownian-bridge extremum draws, the Pitman construction of
+a Bessel(3) path, Bessel(3) ensembles (exact or Euler), the future infimum
+with its exact post-horizon tail, and the interpolated last level crossing.
 
 Simulation is deterministic per (seed, path index) through counter-based
 substreams, so results do not depend on evaluation order across paths.
@@ -17,24 +18,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DomainError, NumericalDegeneracyError
+from .errors import ConfigurationError, DomainError, NumericalDegeneracyError
 from .grids import GridPath, PathEnsemble, TimeGrid
 from .rng import substream
 
 __all__ = [
     "ScaleFunction",
-    "EnlargementData",
     "reciprocal_scale",
-    "simulate_brownian",
+    "pitman_from_draws",
     "simulate_bes3",
-    "running_supremum",
     "future_infimum",
     "last_level_crossing",
-    "last_zero",
-    "next_sup_increase",
-    "sup_increase_times",
-    "extract_enlargement",
-    "bracket_estimate",
 ]
 
 
@@ -62,47 +56,9 @@ def reciprocal_scale() -> ScaleFunction:
     return ScaleFunction(e=lambda z: -1.0 / z, e_inverse=lambda y: -1.0 / y)
 
 
-@dataclass(frozen=True)
-class EnlargementData:
-    """Per-path conditioning data; fields unused by a scenario stay None.
-
-    U
-        running supremum path
-    I
-        future infimum path (tail-completed)
-    xi
-        last passage time at half the terminal value
-    g
-        last zero before the horizon
-    Ttimes
-        per grid point, the next time the running supremum strictly
-        increases (tail-completed past the horizon)
-    """
-
-    U: GridPath | None = None
-    I: GridPath | None = None
-    xi: float | None = None
-    g: float | None = None
-    Ttimes: np.ndarray | None = None
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
-
-
-def simulate_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Standard Brownian paths started at 0, one Philox substream per path."""
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    sqdt = math.sqrt(grid.dt)
-    out = np.empty((n_paths, grid.n + 1))
-    for i in range(n_paths):
-        z = substream(seed, "brownian", i).standard_normal(grid.n)
-        out[i, 0] = 0.0
-        np.cumsum(z, out=out[i, 1:])
-        out[i, 1:] *= sqdt
-    return PathEnsemble(grid, out, seed, tuple(range(n_paths)))
 
 
 def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
@@ -204,10 +160,6 @@ def simulate_bes3(
 # ---------------------------------------------------------------------------
 
 
-def running_supremum(path: GridPath) -> GridPath:
-    return path.with_values(np.maximum.accumulate(path.values))
-
-
 def future_infimum(
     path: GridPath,
     scale: ScaleFunction,
@@ -246,10 +198,6 @@ def future_infimum(
     return path.with_values(back)
 
 
-def _interp_crossing(t0: float, t1: float, f0: float, f1: float) -> float:
-    return t0 + (t1 - t0) * (-f0) / (f1 - f0)
-
-
 def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:
     """Linearly interpolated time of the last sign change of (path - level).
 
@@ -267,95 +215,5 @@ def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:
             # crossing exactly at the earlier grid point, unless a later one exists
             return float(times[k - 1])
         if (a > 0) != (b > 0):
-            return float(_interp_crossing(times[k - 1], times[k], a, b))
+            return float(times[k - 1] + (times[k] - times[k - 1]) * (-a) / (b - a))
     return 0.0
-
-
-def last_zero(path: GridPath, horizon: float) -> float:
-    return last_level_crossing(path, 0.0, horizon)
-
-
-def next_sup_increase(path: GridPath, U: GridPath, k: int) -> float:
-    """Smallest grid time after t_k at which the running supremum exceeds U_k.
-
-    Returns math.inf when the supremum never increases on the grid (the
-    first-passage sentinel; last-passage operations use 0 instead).
-    """
-    u = U.values
-    later = np.nonzero(u[k + 1 :] > u[k])[0]
-    if len(later) == 0:
-        return math.inf
-    return float(U.times()[k + 1 + int(later[0])])
-
-
-def sup_increase_times(
-    path: GridPath,
-    U: GridPath,
-    seed: int,
-    stream_id: int = 0,
-    tail_exact: bool = True,
-) -> np.ndarray:
-    """Next-supremum-increase time for every grid point, tail-completed.
-
-    Grid points whose supremum never increases before the horizon all share
-    the same post-horizon increase time: the horizon plus one exact
-    first-passage draw T = gap^2 / N^2 at the terminal gap (Levy's law),
-    drawn once per path.  With ``tail_exact=False`` those entries keep the
-    math.inf sentinel of ``next_sup_increase``.
-    """
-    u = U.values
-    times = U.times()
-    n = path.grid.n
-    out = np.full(n + 1, math.inf)
-    # next strict record after k: scan from the right
-    next_rec = math.inf
-    for k in range(n - 1, -1, -1):
-        if u[k + 1] > u[k]:
-            next_rec = times[k + 1]
-        out[k] = next_rec
-    if tail_exact:
-        gap = float(u[-1] - path.values[-1])
-        if gap > 0.0:
-            z = float(substream(seed, "sup_tail", stream_id).standard_normal())
-            while z == 0.0:  # probability-zero guard
-                z = float(substream(seed, "sup_tail", stream_id + 1).standard_normal())
-            t_star = path.grid.horizon + gap * gap / (z * z)
-        else:
-            t_star = path.grid.horizon
-        out[~np.isfinite(out)] = t_star
-    return out
-
-
-def extract_enlargement(
-    path: GridPath,
-    seed: int,
-    stream_id: int = 0,
-    scale: ScaleFunction | None = None,
-    horizon: float | None = None,
-) -> EnlargementData:
-    """All per-path conditioning data in one pass.
-
-    The future infimum is only computed for strictly positive paths (pass a
-    scale function); the half-terminal last passage and the last zero use
-    the stated horizon or the grid's.
-    """
-    h = path.grid.horizon if horizon is None else horizon
-    u = running_supremum(path)
-    inf_path = None
-    if scale is not None:
-        inf_path = future_infimum(path, scale, seed, stream_id=stream_id)
-    xi = last_level_crossing(path, float(path.values[-1]) / 2.0, h)
-    g = last_zero(path, h)
-    ttimes = sup_increase_times(path, u, seed, stream_id=stream_id)
-    return EnlargementData(U=u, I=inf_path, xi=xi, g=g, Ttimes=ttimes)
-
-
-def bracket_estimate(path_a: GridPath, path_b: GridPath) -> GridPath:
-    """Realized covariation: cumulative sum of products of grid increments."""
-    if path_a.grid != path_b.grid:
-        raise DataError("bracket_estimate requires paths on the same grid")
-    prod = np.diff(path_a.values) * np.diff(path_b.values)
-    out = np.empty(len(path_a))
-    out[0] = 0.0
-    np.cumsum(prod, out=out[1:])
-    return path_a.with_values(out)

@@ -1,10 +1,11 @@
 """End-to-end enlargement experiments.
 
-Each scenario simulates an ensemble in path blocks, builds the candidate
-martingale (drift-corrected unless the negative control is requested),
-evaluates the functional family at the checkpoints, and reduces everything
-through shard-safe moment accumulators.  Per-path substreams make the
-result independent of the block schedule.
+Each statistical scenario simulates an ensemble in path blocks, builds one
+or more candidate martingales (drift-corrected unless the negative control
+is requested), evaluates the functional family at the checkpoints, and
+reduces everything through shard-safe moment accumulators; one block loop,
+``_suite_from_blocks``, runs them all.  Per-path substreams make the result
+independent of the block schedule.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -57,6 +58,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # increments are weighted by min(1, (distance to the singular set / this)^4),
 # a bounded predictable integrand that tames the reciprocal-distance drifts.
 _DAMP_SCALE = 0.3
+# The after-side candidates integrate only steps ending by this time.
+_AFTER_CAP = 0.9
 
 _STATISTICAL = (
     "bridge",
@@ -67,6 +70,8 @@ _STATISTICAL = (
     "pitman",
 )
 _DETERMINISTIC = ("glue-demo", "elemint-check")
+# Scenarios whose random times and drifts are defined on [0, 1].
+_UNIT_HORIZON = ("bridge", "emery-before", "emery-after", "honest")
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,27 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"unknown format {self.format!r}")
+        if not 0.0 < self.threshold < math.inf:
+            raise ConfigurationError(
+                f"threshold must be finite and > 0, got {self.threshold}"
+            )
+        if self.block_size < 1:
+            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
         if self.scenario in _DETERMINISTIC:
             return self
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ConfigurationError("dt and horizon must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
+            raise ConfigurationError("dt and horizon must be finite and positive")
+        if self.scenario in _UNIT_HORIZON and self.horizon != 1.0:
+            raise ConfigurationError(f"the {self.scenario} scenario is defined on horizon 1")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"dt = {self.dt} does not divide horizon = {self.horizon}"
             )
-        if self.delta < self.dt:
-            raise ConfigurationError(f"delta = {self.delta} must be >= dt = {self.dt}")
+        if not self.dt <= self.delta < self.horizon:
+            raise ConfigurationError(
+                f"delta = {self.delta} must be >= dt = {self.dt} and < horizon = {self.horizon}"
+            )
         if self.n_paths < 100:
             raise ConfigurationError(
                 f"statistical scenarios need n_paths >= 100, got {self.n_paths}"
@@ -158,31 +173,6 @@ def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _last_crossing_matrix(
-    values: np.ndarray, levels: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Vectorized last interpolated crossing time per row; 0 when none."""
-    f = values - levels[:, None]
-    a, b = f[:, :-1], f[:, 1:]
-    qual = (b == 0.0) | (a == 0.0) | ((a > 0.0) != (b > 0.0))
-    any_row = qual.any(axis=1)
-    # last qualifying transition per row
-    k = qual.shape[1] - 1 - np.argmax(qual[:, ::-1], axis=1)
-    rows = np.arange(len(f))
-    a_star, b_star = a[rows, k], b[rows, k]
-    t_lo, t_hi = times[k], times[k + 1]
-    out = np.where(
-        b_star == 0.0,
-        t_hi,
-        np.where(
-            a_star == 0.0,
-            t_lo,
-            t_lo + (t_hi - t_lo) * (-a_star) / np.where(b_star != a_star, b_star - a_star, 1.0),
-        ),
-    )
-    return np.where(any_row, out, 0.0)
-
-
 def _exact_last_passage(
     values: np.ndarray,
     levels: np.ndarray,
@@ -229,8 +219,16 @@ def _exact_last_passage(
     return np.where(any_row, out, 0.0)
 
 
+def _cumulative(inc: np.ndarray) -> np.ndarray:
+    """Per-path running sums of per-step increments, starting from 0."""
+    out = np.empty((inc.shape[0], inc.shape[1] + 1))
+    out[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return out
+
+
 # ---------------------------------------------------------------------------
-# functional catalog
+# functional catalog and the block loop
 # ---------------------------------------------------------------------------
 
 
@@ -249,25 +247,32 @@ def _base_functionals() -> list:
 
 
 def _suite_from_blocks(
-    cfg: ScenarioConfig,
-    make_block,
-    candidate,
-    functional_factory,
-    checkpoints,
-    block_hook=None,
+    cfg: ScenarioConfig, make_block, legs, block_hook=None
 ) -> MartingaleTestReport:
+    """Run every block through every leg and reduce into one Bonferroni suite.
+
+    ``make_block(cfg, grid, lo, hi)`` builds the BlockContext of paths
+    [lo, hi).  Each leg is (key prefix, candidate, functional factory,
+    checkpoints): ``candidate(cfg, ctx)`` is the process matrix of the
+    block, and ``factory(s, t)`` lists the functionals tested on its
+    increment over each checkpoint (s, t).  ``block_hook(ctx)`` sees every
+    block for reductions outside the suite.
+    """
     grid = cfg.grid()
     accs: dict = defaultdict(MomentAccumulator)
-    idx = {
-        pair: (grid.index_of(pair[0]), grid.index_of(pair[1])) for pair in checkpoints
-    }
+    legs = [
+        (prefix, candidate, factory,
+         [(s, t, grid.index_of(s), grid.index_of(t)) for s, t in checkpoints])
+        for prefix, candidate, factory, checkpoints in legs
+    ]
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = make_block(lo, hi)
-        x = candidate(ctx)
-        for (s, t), (si, ti) in idx.items():
-            inc = x[:, ti] - x[:, si]
-            for f in functional_factory(s, t):
-                accs[(s, t, f.id)].add(inc * f.values(ctx, si))
+        ctx = make_block(cfg, grid, lo, hi)
+        for prefix, candidate, factory, idx in legs:
+            x = candidate(cfg, ctx)
+            for s, t, si, ti in idx:
+                inc = x[:, ti] - x[:, si]
+                for f in factory(s, t):
+                    accs[(s, t, prefix + f.id)].add(inc * f.values(ctx, si))
         if block_hook is not None:
             block_hook(ctx)
     return martingale_suite(accs, cfg.threshold, "bonferroni")
@@ -284,22 +289,20 @@ def _bridge_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
 
 
 def _bridge_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
+    """W minus the bridge drift (W1 - W_t)/(1 - t), integrated on (0, 1 - delta].
+
+    The rate is the logarithmic derivative of the Gaussian conditional
+    density of the terminal value.
+    """
     if cfg.no_correction:
         return ctx.W
     t_left = ctx.times[:-1]
     window = ctx.times[1:] <= 1.0 - cfg.delta + 1e-12
     rate = (ctx.W1[:, None] - ctx.W[:, :-1]) / (1.0 - t_left)[None, :]
-    inc = rate * (cfg.dt * window)[None, :]
-    drift = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1
-    )
-    return ctx.W - drift
+    return ctx.W - _cumulative(rate * (cfg.dt * window)[None, :])
 
 
 def run_bridge(cfg: ScenarioConfig) -> ScenarioResult:
-    if cfg.horizon != 1.0:
-        raise ConfigurationError("the bridge scenario is defined on horizon 1")
-    grid = cfg.grid()
     pts = [0.2, 0.4, 0.6, 0.8]
     checkpoints = [(s, t) for s in pts for t in pts if s < t]
     funcs = _base_functionals() + [
@@ -310,11 +313,7 @@ def run_bridge(cfg: ScenarioConfig) -> ScenarioResult:
         )
     ]
     report = _suite_from_blocks(
-        cfg,
-        lambda lo, hi: _bridge_block(cfg, grid, lo, hi),
-        lambda ctx: _bridge_candidate(cfg, ctx),
-        lambda s, t: funcs,
-        checkpoints,
+        cfg, _bridge_block, [("", _bridge_candidate, lambda s, t: funcs, checkpoints)]
     )
     return ScenarioResult("bridge", report)
 
@@ -362,19 +361,19 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
 
 
 def _supremum_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
+    """The instance M = int (U - W) dW minus its supremum-enlargement drift.
+
+    The generic increment -(1/(U-W)) (1 - (U-W)^2/(T-t)) d<M,W> has the
+    gap cancelled against d<M,W> = (U - W) dt; steps starting at a record
+    (U = W) contribute 0, as the instance's own increments do there.
+    """
     gap = ctx.U[:, :-1] - ctx.W[:, :-1]
-    m_inc = gap * np.diff(ctx.W, axis=1)
-    m = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(m_inc, axis=1)], axis=1
-    )
+    m = _cumulative(gap * np.diff(ctx.W, axis=1))
     if cfg.no_correction:
         return m
     tau = ctx.Ttimes[:, :-1] - ctx.times[:-1][None, :]
     rate = np.where(gap > 0.0, supremum_instance_rate(gap, tau), 0.0)
-    drift = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(rate * cfg.dt, axis=1)], axis=1
-    )
-    return m - drift
+    return m - _cumulative(rate * cfg.dt)
 
 
 def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
@@ -418,13 +417,55 @@ def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
         ]
 
     report = _suite_from_blocks(
-        cfg,
-        lambda lo, hi: _supremum_block(cfg, grid, lo, hi),
-        lambda ctx: _supremum_candidate(cfg, ctx),
-        factory,
-        checkpoints,
+        cfg, _supremum_block, [("", _supremum_candidate, factory, checkpoints)]
     )
     return ScenarioResult("supremum", report)
+
+
+# ---------------------------------------------------------------------------
+# progressive enlargement with a last-passage time: the shared kernels
+# ---------------------------------------------------------------------------
+
+
+def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
+    """W stopped at the last passage ``tau`` at ``level``, progressively corrected.
+
+    The stopped value is the level itself.  The drift rate dNdW/Z_- comes
+    from ``rate_parts(ctx)`` = (dNdW, Z) at the left endpoints and is
+    integrated up to tau; the step straddling tau picks up the partial
+    contribution rate * (tau - t_k), so the stopped process stays unbiased.
+    """
+    t = ctx.times
+    stopped = np.where(t[None, :] <= tau[:, None], ctx.W, level)
+    if cfg.no_correction:
+        return stopped
+    dndw, z = rate_parts(ctx)
+    rate = dndw / np.maximum(z, 1e-300)  # Z and dNdW underflow together
+    dt_eff = np.clip(tau[:, None] - t[:-1][None, :], 0.0, cfg.dt)
+    return stopped - _cumulative(rate * dt_eff)
+
+
+def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
+    """Damped corrected increments on steps fully inside (tau + delta, cap].
+
+    After a last passage the drift blows up like the reciprocal distance to
+    the avoided ``level``, so the candidate integrates the corrected
+    increments against the bounded predictable weight
+    min(1, |W - level|^4 / c^4); under the null any such integral is again
+    a martingale, and the weight suppresses the region where a finite grid
+    cannot match the continuum compensator.  ``rate(active)`` is the drift
+    rate on the active steps and 0 elsewhere; the negative control never
+    evaluates it.
+    """
+    t_left, t_right = ctx.times[:-1], ctx.times[1:]
+    active = (t_left[None, :] >= tau[:, None] + cfg.delta - 1e-12) & (
+        t_right[None, :] <= _AFTER_CAP + 1e-12
+    )
+    phi = np.minimum(1.0, (np.abs(ctx.W[:, :-1] - level) / _DAMP_SCALE) ** 4) * active
+    inc = np.diff(ctx.W, axis=1)
+    if not cfg.no_correction:
+        inc -= rate(active) * cfg.dt
+    return _cumulative(phi * inc)
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +480,37 @@ def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Block
     return BlockContext(grid, grid.times(), w, W1=w1, xi=xi)
 
 
-def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Stopped-at-xi path, drift-corrected: stopped value is W1/2 exactly."""
-    t = ctx.times
-    stopped = np.where(t[None, :] <= ctx.xi[:, None], ctx.W, (ctx.W1 / 2.0)[:, None])
-    if cfg.no_correction:
-        return stopped
-    t_left, t_right = t[:-1], t[1:]
-    root = np.sqrt(1.0 - t_left)
-    y = np.abs(ctx.W[:, :-1]) / root[None, :]
-    z = np.maximum(_emery_Z_from_y(y), 1e-300)  # Z and h' underflow together
-    rate = -h_func_prime(y) * np.sign(ctx.W[:, :-1]) / root[None, :] / z
-    dt_eff = np.clip(ctx.xi[:, None] - t_left[None, :], 0.0, cfg.dt)
-    dt_eff = np.where(t_right[None, :] <= 1.0 - cfg.dt / 2.0, dt_eff, 0.0)
-    drift = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(rate * dt_eff, axis=1)], axis=1
-    )
-    return stopped - drift
-
-
 def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
     return erfc(y / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * y * np.exp(-0.5 * y * y)
 
 
-def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Damped corrected increments on steps fully inside (xi + delta, cap].
+def _emery_rate_parts(ctx: BlockContext):
+    """(dNdW, Z) of the half-terminal last passage at the left endpoints.
 
-    The drift blows up like the reciprocal distance to the avoided level
-    W1/2, so the candidate integrates the corrected increments against the
-    bounded predictable weight min(1, |W - W1/2|^4 / c^4); under the null
-    any such integral is again a martingale, and the weight suppresses the
-    region where a finite grid cannot match the continuum compensator.
+    Z = 1 - h(|W|/sqrt(1-t)) and dNdW = -h'(|W|/sqrt(1-t)) sgn(W)/sqrt(1-t);
+    the kink of |w| at 0 contributes no local time because h'(0) = 0.
     """
-    cap = 0.9
-    t_left, t_right = ctx.times[:-1], ctx.times[1:]
-    active = (t_left[None, :] >= ctx.xi[:, None] + cfg.delta - 1e-12) & (
-        t_right[None, :] <= cap + 1e-12
-    )
-    dist = np.abs(ctx.W[:, :-1] - (ctx.W1 / 2.0)[:, None])
-    phi = np.minimum(1.0, (dist / _DAMP_SCALE) ** 4) * active
-    rate = np.zeros_like(ctx.W[:, :-1])
-    rows, cols = np.nonzero(active)
-    if len(rows):
-        rate[rows, cols] = emery_after_rate(
-            ctx.W[rows, cols], t_left[cols], ctx.W1[rows]
-        )
-    inc = np.diff(ctx.W, axis=1) - (0.0 if cfg.no_correction else rate * cfg.dt)
-    out = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(phi * inc, axis=1)], axis=1
-    )
-    return out
+    root = np.sqrt(1.0 - ctx.times[:-1])
+    w = ctx.W[:, :-1]
+    y = np.abs(w) / root[None, :]
+    return -h_func_prime(y) * np.sign(w) / root[None, :], _emery_Z_from_y(y)
+
+
+def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
+    """Stopped at xi, where W sits at W1/2, and corrected before xi."""
+    return _stopped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], _emery_rate_parts)
+
+
+def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
+    """Damped after xi, with the closed-form rate; the avoided set is W = W1/2."""
+
+    def rate(active):
+        out = np.zeros_like(ctx.W[:, :-1])
+        rows, cols = np.nonzero(active)
+        out[rows, cols] = emery_after_rate(ctx.W[rows, cols], ctx.times[cols], ctx.W1[rows])
+        return out
+
+    return _damped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], rate)
 
 
 def _emery_before_functionals(cfg: ScenarioConfig, s: float) -> list:
@@ -531,9 +553,6 @@ def _emery_after_functionals(cfg: ScenarioConfig, s: float) -> list:
 
 
 def run_emery_before(cfg: ScenarioConfig) -> ScenarioResult:
-    if cfg.horizon != 1.0:
-        raise ConfigurationError("emery scenarios are defined on horizon 1")
-    grid = cfg.grid()
     pts = [0.1, 0.3, 0.5, 0.7, 0.9]
     checkpoints = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)] + [
         (0.1, 0.5),
@@ -541,26 +560,21 @@ def run_emery_before(cfg: ScenarioConfig) -> ScenarioResult:
     ]
     report = _suite_from_blocks(
         cfg,
-        lambda lo, hi: _emery_block(cfg, grid, lo, hi),
-        lambda ctx: _emery_before_candidate(cfg, ctx),
-        lambda s, t: _emery_before_functionals(cfg, s),
-        checkpoints,
+        _emery_block,
+        [("", _emery_before_candidate,
+          lambda s, t: _emery_before_functionals(cfg, s), checkpoints)],
     )
     return ScenarioResult("emery-before", report)
 
 
 def run_emery_after(cfg: ScenarioConfig) -> ScenarioResult:
-    if cfg.horizon != 1.0:
-        raise ConfigurationError("emery scenarios are defined on horizon 1")
-    grid = cfg.grid()
     pts = [0.3, 0.5, 0.7, 0.9]
     checkpoints = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)] + [(0.3, 0.9)]
     report = _suite_from_blocks(
         cfg,
-        lambda lo, hi: _emery_block(cfg, grid, lo, hi),
-        lambda ctx: _emery_after_candidate(cfg, ctx),
-        lambda s, t: _emery_after_functionals(cfg, s),
-        checkpoints,
+        _emery_block,
+        [("", _emery_after_candidate,
+          lambda s, t: _emery_after_functionals(cfg, s), checkpoints)],
     )
     return ScenarioResult("emery-after", report)
 
@@ -608,7 +622,12 @@ def _honest_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
 
 
 def _honest_rate_parts(ctx: BlockContext):
-    """(dNdW, Z, 1-Z) at the left endpoints of every step."""
+    """(dNdW, Z) of the last zero before 1 at the left endpoints.
+
+    Z = erfc(|W|/sqrt(2(1-t))) by the reflection principle, and
+    dNdW = -2 phi(|W|/sqrt(1-t)) sgn(W)/sqrt(1-t) with phi the standard
+    normal density, its derivative in w.
+    """
     t_left = ctx.times[:-1]
     root = np.sqrt(1.0 - t_left)
     w = ctx.W[:, :-1]
@@ -616,38 +635,22 @@ def _honest_rate_parts(ctx: BlockContext):
     z = erfc(y / math.sqrt(2.0))
     phi = np.exp(-0.5 * y * y) / _SQRT2PI
     dndw = -2.0 * phi * np.sign(w) / root[None, :]
-    return dndw, z, 1.0 - z
+    return dndw, z
 
 
 def _honest_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Stopped-at-g path (stopped value exactly 0), corrected before g."""
-    t = ctx.times
-    stopped = np.where(t[None, :] <= ctx.g[:, None], ctx.W, 0.0)
-    if cfg.no_correction:
-        return stopped
-    dndw, z, _ = _honest_rate_parts(ctx)
-    rate = dndw / np.maximum(z, 1e-300)  # Z, phi underflow together
-    dt_eff = np.clip(ctx.g[:, None] - t[:-1][None, :], 0.0, cfg.dt)
-    drift = np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(rate * dt_eff, axis=1)], axis=1
-    )
-    return stopped - drift
+    """Stopped at g, where W sits at 0, and corrected before g."""
+    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, _honest_rate_parts)
 
 
 def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Damped corrected increments after g; the singular set is W = 0."""
-    cap = 0.9
-    t_left, t_right = ctx.times[:-1], ctx.times[1:]
-    dndw, _, one_minus_z = _honest_rate_parts(ctx)
-    active = (t_left[None, :] >= ctx.g[:, None] + cfg.delta - 1e-12) & (
-        t_right[None, :] <= cap + 1e-12
-    )
-    rate = np.where(active, -dndw / np.maximum(one_minus_z, 1e-300), 0.0)
-    phi = np.minimum(1.0, np.abs(ctx.W[:, :-1] / _DAMP_SCALE) ** 4) * active
-    inc = np.diff(ctx.W, axis=1) - (0.0 if cfg.no_correction else rate * cfg.dt)
-    return np.concatenate(
-        [np.zeros((ctx.W.shape[0], 1)), np.cumsum(phi * inc, axis=1)], axis=1
-    )
+    """Damped after g, with rate -dNdW/(1 - Z_-); the avoided set is W = 0."""
+
+    def rate(active):
+        dndw, z = _honest_rate_parts(ctx)
+        return np.where(active, -dndw / np.maximum(1.0 - z, 1e-300), 0.0)
+
+    return _damped_candidate(cfg, ctx, ctx.g, 0.0, rate)
 
 
 def _honest_before_functionals(cfg: ScenarioConfig, s: float) -> list:
@@ -680,30 +683,20 @@ def _honest_after_functionals(cfg: ScenarioConfig, s: float) -> list:
 
 def run_honest(cfg: ScenarioConfig) -> ScenarioResult:
     """Two-sided honest-time suite: stopped-corrected before, masked after."""
-    if cfg.horizon != 1.0:
-        raise ConfigurationError("the honest scenario is defined on horizon 1")
-    grid = cfg.grid()
     before_pts = [0.1, 0.3, 0.5, 0.7, 0.9]
     before_cps = [(before_pts[i], before_pts[i + 1]) for i in range(4)] + [(0.1, 0.9)]
     after_pts = [0.3, 0.5, 0.7, 0.9]
     after_cps = [(after_pts[i], after_pts[i + 1]) for i in range(3)] + [(0.3, 0.9)]
-
-    accs: dict = defaultdict(MomentAccumulator)
-    b_idx = {p: (grid.index_of(p[0]), grid.index_of(p[1])) for p in before_cps}
-    a_idx = {p: (grid.index_of(p[0]), grid.index_of(p[1])) for p in after_cps}
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = _honest_block(cfg, grid, lo, hi)
-        xb = _honest_before_candidate(cfg, ctx)
-        xa = _honest_after_candidate(cfg, ctx)
-        for (s, t), (si, ti) in b_idx.items():
-            inc = xb[:, ti] - xb[:, si]
-            for f in _honest_before_functionals(cfg, s):
-                accs[(s, t, "pre|" + f.id)].add(inc * f.values(ctx, si))
-        for (s, t), (si, ti) in a_idx.items():
-            inc = xa[:, ti] - xa[:, si]
-            for f in _honest_after_functionals(cfg, s):
-                accs[(s, t, "post|" + f.id)].add(inc * f.values(ctx, si))
-    report = martingale_suite(accs, cfg.threshold, "bonferroni")
+    report = _suite_from_blocks(
+        cfg,
+        _honest_block,
+        [
+            ("pre|", _honest_before_candidate,
+             lambda s, t: _honest_before_functionals(cfg, s), before_cps),
+            ("post|", _honest_after_candidate,
+             lambda s, t: _honest_after_functionals(cfg, s), after_cps),
+        ],
+    )
     return ScenarioResult("honest", report)
 
 
@@ -712,11 +705,10 @@ def run_honest(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _pitman_block(
-    cfg: ScenarioConfig, grid: TimeGrid, scale: ScaleFunction, lo: int, hi: int
-) -> BlockContext:
+def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
     from .errors import NumericalDegeneracyError
 
+    scale = reciprocal_scale()
     nb, n = hi - lo, grid.n
     r = np.empty((nb, n + 1))
     if cfg.bes_method == "pitman-construction":
@@ -759,7 +751,6 @@ def _pitman_block(
 def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
     """Certify that twice the future infimum minus the Bessel path is a martingale."""
     grid = cfg.grid()
-    scale = reciprocal_scale()
     h = cfg.horizon
     level_ts = [round(h * k / 10.0, 12) for k in range(1, 11)]
     checkpoints = [(level_ts[i], level_ts[i + 1]) for i in range(9)]
@@ -780,17 +771,12 @@ def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
         for t, acc in level_accs.items():
             acc.add(ctx.transform[:, grid.index_of(t)])
 
-    def candidate(ctx: BlockContext) -> np.ndarray:
+    def candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
         # the negative control drops the infimum information entirely
         return ctx.W if cfg.no_correction else ctx.transform
 
     report = _suite_from_blocks(
-        cfg,
-        lambda lo, hi: _pitman_block(cfg, grid, scale, lo, hi),
-        candidate,
-        lambda s, t: funcs,
-        checkpoints,
-        block_hook=hook,
+        cfg, _pitman_block, [("", candidate, lambda s, t: funcs, checkpoints)], hook
     )
     extra = []
     if not cfg.no_correction:

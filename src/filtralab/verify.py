@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, InsufficientSampleError
 
@@ -26,9 +26,7 @@ __all__ = [
     "MartingaleTestReport",
     "MomentAccumulator",
     "bonferroni_threshold",
-    "conditional_increment_stat",
     "martingale_suite",
-    "drift_regression",
 ]
 
 _BOUND_TOL = 1e-9
@@ -131,23 +129,8 @@ def bonferroni_threshold(nominal_z: float, n_entries: int) -> float:
     """
     if n_entries <= 1:
         return nominal_z
-    p_nominal = 2.0 * norm.sf(nominal_z)
-    return float(norm.isf(p_nominal / (2.0 * n_entries)))
-
-
-def conditional_increment_stat(
-    increments: np.ndarray,
-    h_values: np.ndarray,
-) -> tuple:
-    """(mean, stderr, z) of (X_t - X_s) * H_s over paths.
-
-    Inputs are per-path arrays already evaluated at one (s, t, functional)
-    triple; the scenario layer is responsible for producing them from
-    ensembles and enlargement data.
-    """
-    acc = MomentAccumulator()
-    acc.add(np.asarray(increments, dtype=float) * np.asarray(h_values, dtype=float))
-    return acc.stats()
+    p_nominal = 2.0 * ndtr(-nominal_z)
+    return float(-ndtri(p_nominal / (2.0 * n_entries)))
 
 
 def martingale_suite(
@@ -193,55 +176,3 @@ def martingale_suite(
         correction=correction,
         verdict="pass" if all_pass else "fail",
     )
-
-
-def drift_regression(
-    state: np.ndarray,
-    increments: np.ndarray,
-    dt: float,
-    rate_fn: Callable[[np.ndarray], np.ndarray],
-    bins: int = 10,
-) -> list:
-    """Binned check of E[dX]/dt against a pointwise rate function.
-
-    Paths are binned by ``state`` (NaN states are dropped); each bin
-    compares the empirical mean of increments/dt with the bin average of
-    ``rate_fn(state)`` and reports a z-score.  Returns a list of dicts, one
-    per nonempty bin; empty bins are flagged and excluded.
-    """
-    if bins < 5:
-        raise ConfigurationError(f"need at least 5 bins, got {bins}")
-    state = np.asarray(state, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    keep = ~np.isnan(state)
-    state, increments = state[keep], increments[keep]
-    if state.size == 0:
-        return []
-    edges = np.quantile(state, np.linspace(0.0, 1.0, bins + 1))
-    edges[0] -= 1e-12
-    rows = []
-    for b in range(bins):
-        sel = (state > edges[b]) & (state <= edges[b + 1])
-        n = int(sel.sum())
-        if n == 0:
-            rows.append({"bin": b, "empty": True})
-            continue
-        emp = increments[sel] / dt
-        target = float(np.mean(rate_fn(state[sel])))
-        mean = float(np.mean(emp))
-        sd = float(np.std(emp, ddof=1)) if n > 1 else 0.0
-        stderr = sd / math.sqrt(n) if n > 1 else math.inf
-        z = (mean - target) / stderr if stderr > 0 else 0.0
-        rows.append(
-            {
-                "bin": b,
-                "empty": False,
-                "n": n,
-                "state_mean": float(np.mean(state[sel])),
-                "empirical_rate": mean,
-                "target_rate": target,
-                "stderr": stderr,
-                "z": z,
-            }
-        )
-    return rows

@@ -138,6 +138,33 @@ class TestExitCodes:
         assert main(["--scenario", "bridge", "--dt", "0.0007"]) == 2
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "block-size = -5",
+            "block-size = 0",
+            "threshold = nan",
+            "threshold = -1",
+            "threshold = inf",
+            "dt = nan",
+            "dt = inf",
+            "horizon = inf",
+            "horizon = 2",
+            "delta = 1",
+            "delta = 2",
+        ],
+    )
+    def test_invalid_config_file_exit_two(self, tmp_path, capsys, line):
+        from filtralab.cli import main
+
+        p = tmp_path / "run.cfg"
+        p.write_text("scenario = bridge\nn-paths = 200\ndt = 0.01\nseed = 1\n" + line + "\n")
+        assert main(["--config", str(p), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
     def test_degeneracy_exit_three(self, tmp_path):
         # euler-sde with a coarse step drives some path nonpositive
         cfg = ScenarioConfig(

@@ -1,21 +1,49 @@
-"""Drift evaluators against hand computations and independent oracles."""
+"""Drift formulas against hand computations and independent oracles.
 
+The formulas are evaluated by the scenarios' block kernels; hand values
+run through them on hand-built one-path BlockContexts.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
 
 from filtralab import drifts as D
+from filtralab import scenarios as sc
 from filtralab.errors import DomainError, SingularityError
-from filtralab.grids import GridPath, TimeGrid
-from filtralab.paths import (
-    reciprocal_scale,
-    running_supremum,
-    simulate_brownian,
-    bracket_estimate,
-)
+from filtralab.grids import TimeGrid
+from filtralab.paths import reciprocal_scale
+
+
+def _ctx(dt, w, **fields):
+    """One-path BlockContext on the grid 0, dt, ..., (len(w) - 1) dt."""
+    grid = TimeGrid(0.0, dt, len(w) - 1)
+    fields = {k: np.array([v], dtype=float) for k, v in fields.items()}
+    return sc.BlockContext(grid, grid.times(), np.array([w], dtype=float), **fields)
+
+
+def _cfg(dt, **kw):
+    return sc.ScenarioConfig(scenario="bridge", dt=dt, **kw)
+
+
+def _drift(candidate, cfg, ctx):
+    """Per-step drift a candidate subtracts: its uncorrected minus its
+    corrected increments, for the block's single path."""
+    raw = candidate(dataclasses.replace(cfg, no_correction=True), ctx)
+    return np.diff(raw - candidate(cfg, ctx), axis=1)[0]
+
+
+def _stopped(tau, dndw, z):
+    """The shared before-candidate with constant hand-given (dNdW, Z)."""
+
+    def parts(ctx):
+        shape = ctx.W[:, :-1].shape
+        return np.full(shape, dndw), np.full(shape, z)
+
+    return lambda cfg, ctx: sc._stopped_candidate(cfg, ctx, np.array([tau]), 0.0, parts)
 
 
 class TestHFunc:
@@ -53,12 +81,11 @@ class TestHFunc:
 
 class TestBridgeDrift:
     def test_hand_values(self):
-        grid = TimeGrid(0.0, 0.5, 2)
-        w = GridPath(grid, np.array([0.0, 0.3, 1.0]))
-        ds = D.bridge_drift(w, W1=1.0, delta=0.05)
-        # step over (0.5, 1.0] is outside the window 1 - delta = 0.95? No: 1.0 > 0.95 -> masked
-        assert ds.increments[0] == pytest.approx((1.0 - 0.0) / 1.0 * 0.5)
-        assert ds.increments[1] == 0.0
+        ctx = _ctx(0.5, [0.0, 0.3, 1.0], W1=1.0)
+        inc = _drift(sc._bridge_candidate, _cfg(0.5, delta=0.05), ctx)
+        # the step over (0.5, 1.0] ends past the window 1 - delta = 0.95: masked
+        assert inc[0] == pytest.approx((1.0 - 0.0) / 1.0 * 0.5)
+        assert inc[1] == 0.0
 
     def test_rate_matches_log_density_derivative(self):
         # oracle: finite difference of log q_t(x) in W_t, q = N(W_t, 1-t) density at x=W1
@@ -77,82 +104,71 @@ class TestBridgeDrift:
             assert abs(fd - rate) <= 1e-6 * max(1.0, abs(rate))
 
     def test_zero_rate_at_terminal_value(self):
-        grid = TimeGrid(0.0, 0.25, 4)
-        w = GridPath(grid, np.array([0.0, 1.0, 1.0, 0.5, 1.0]))
-        ds = D.bridge_drift(w, W1=1.0)
-        assert ds.increments[1] == 0.0  # W_t = W1 at the left endpoint
-        assert ds.increments[0] == pytest.approx(1.0 * 0.25)  # t=0, rate W1
+        ctx = _ctx(0.25, [0.0, 1.0, 1.0, 0.5, 1.0], W1=1.0)
+        inc = _drift(sc._bridge_candidate, _cfg(0.25), ctx)
+        assert inc[1] == 0.0  # W_t = W1 at the left endpoint
+        assert inc[0] == pytest.approx(1.0 * 0.25)  # t=0, rate W1
 
 
 class TestProgressiveDrift:
-    def _azema(self, grid, z, dndw):
-        zero = GridPath(grid, np.zeros(grid.n + 1))
-        return D.AzemaData(GridPath(grid, z), GridPath(grid, dndw), zero, zero)
-
     def test_immersion_case_zero_drift(self):
-        grid = TimeGrid(0.0, 0.1, 5)
-        w = GridPath(grid, np.zeros(6))
-        az = self._azema(grid, np.ones(6), np.zeros(6))
-        ds = D.progressive_drift(w, az, t_time=0.45)
-        assert np.all(ds.increments == 0.0)
+        ctx = _ctx(0.1, np.zeros(6))
+        inc = _drift(_stopped(0.45, 0.0, 1.0), _cfg(0.1), ctx)
+        assert np.all(inc == 0.0)
 
     def test_rate_is_dndw_over_z(self):
-        grid = TimeGrid(0.0, 0.1, 4)
-        w = GridPath(grid, np.zeros(5))
-        az = self._azema(grid, np.full(5, 0.5), np.full(5, 0.2))
-        ds = D.progressive_drift(w, az, t_time=1.0)
-        assert np.allclose(ds.increments, 0.2 / 0.5 * 0.1)
+        ctx = _ctx(0.1, np.zeros(5))
+        inc = _drift(_stopped(1.0, 0.2, 0.5), _cfg(0.1), ctx)
+        assert np.allclose(inc, 0.2 / 0.5 * 0.1)
 
     def test_partial_step_at_the_random_time(self):
-        grid = TimeGrid(0.0, 0.1, 4)
-        w = GridPath(grid, np.zeros(5))
-        az = self._azema(grid, np.full(5, 0.5), np.full(5, 0.2))
-        ds = D.progressive_drift(w, az, t_time=0.25)
-        assert ds.increments[2] == pytest.approx(0.4 * 0.05)
-        assert ds.increments[3] == 0.0
+        ctx = _ctx(0.1, np.zeros(5))
+        inc = _drift(_stopped(0.25, 0.2, 0.5), _cfg(0.1), ctx)
+        assert inc[2] == pytest.approx(0.4 * 0.05)
+        assert inc[3] == 0.0
 
-    def test_vanishing_Z_raises(self):
-        grid = TimeGrid(0.0, 0.1, 4)
-        w = GridPath(grid, np.zeros(5))
-        az = self._azema(grid, np.array([1.0, 0.0, 1.0, 1.0, 1.0]), np.full(5, 0.2))
-        with pytest.raises(SingularityError):
-            D.progressive_drift(w, az, t_time=1.0)
+    def test_underflowed_Z_gives_zero_rate(self):
+        # far from the level Z and dNdW underflow to 0 together; the kernel
+        # reads that as a zero rate, not as 0/0
+        ctx = _ctx(0.1, np.zeros(5))
+        inc = _drift(_stopped(1.0, 0.0, 0.0), _cfg(0.1), ctx)
+        assert np.all(inc == 0.0)
 
     def test_emery_instance_rate_zero_at_origin_level(self):
         # dNdW = -h'(0) sgn(0)/sqrt(0.5) = 0 at W_t = 0
-        grid = TimeGrid(0.0, 0.5, 1)
-        w = GridPath(grid, np.array([0.0, 0.3]))
-        az = D.emery_azema(w)
-        assert az.dNdW.values[0] == 0.0
+        dndw, _ = sc._emery_rate_parts(_ctx(0.5, [0.0, 0.3]))
+        assert dndw[0, 0] == 0.0
 
 
 class TestHonestDrift:
-    def test_two_sided_rates(self):
-        grid = TimeGrid(0.0, 0.1, 9)
-        w = GridPath(grid, np.zeros(10))
-        zero = GridPath(grid, np.zeros(10))
-        az = D.AzemaData(
-            GridPath(grid, np.full(10, 0.5)), GridPath(grid, np.full(10, 0.2)), zero, zero
-        )
-        ds = D.honest_drift(w, az, g=0.45, delta=0.1, horizon_cap=0.9)
-        # before g: +dNdW/Z = 0.4 per unit time
-        assert ds.increments[0] == pytest.approx(0.4 * 0.1)
-        # partial step into g: rate * (g - t_left)
-        assert ds.increments[4] == pytest.approx(0.4 * 0.05)
-        # after g + delta: -dNdW/(1-Z) = -0.4
-        assert ds.increments[6] == pytest.approx(-0.4 * 0.1)
-        # trimmed neighbourhood contributes nothing
-        assert ds.increments[5] == 0.0
+    def _hand_parts(self, monkeypatch, dndw, z):
+        def parts(ctx):
+            shape = ctx.W[:, :-1].shape
+            return np.full(shape, dndw), np.full(shape, z)
 
-    def test_zero_dndw_zero_drift(self):
-        grid = TimeGrid(0.0, 0.1, 9)
-        w = GridPath(grid, np.zeros(10))
-        zero = GridPath(grid, np.zeros(10))
-        az = D.AzemaData(
-            GridPath(grid, np.full(10, 0.5)), GridPath(grid, np.zeros(10)), zero, zero
-        )
-        ds = D.honest_drift(w, az, g=0.45)
-        assert np.all(ds.increments == 0.0)
+        monkeypatch.setattr(sc, "_honest_rate_parts", parts)
+
+    def test_two_sided_rates(self, monkeypatch):
+        self._hand_parts(monkeypatch, 0.2, 0.5)
+        # |W| >= 0.3 everywhere: the after-side damping weight is 1
+        ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
+        cfg = _cfg(0.1, delta=0.1)
+        before = _drift(sc._honest_before_candidate, cfg, ctx)
+        after = _drift(sc._honest_after_candidate, cfg, ctx)
+        # before g: +dNdW/Z = 0.4 per unit time
+        assert before[0] == pytest.approx(0.4 * 0.1)
+        # partial step into g: rate * (g - t_left)
+        assert before[4] == pytest.approx(0.4 * 0.05)
+        # after g + delta: -dNdW/(1-Z) = -0.4
+        assert after[6] == pytest.approx(-0.4 * 0.1)
+        # trimmed neighbourhood contributes nothing
+        assert after[5] == 0.0
+
+    def test_zero_dndw_zero_drift(self, monkeypatch):
+        self._hand_parts(monkeypatch, 0.0, 0.5)
+        ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
+        for candidate in (sc._honest_before_candidate, sc._honest_after_candidate):
+            assert np.all(_drift(candidate, _cfg(0.1), ctx) == 0.0)
 
     def test_honest_Z_against_monte_carlo(self):
         # oracle: P[no zero of W on (t, 1] | W_t = x] by simulation
@@ -170,56 +186,37 @@ class TestHonestDrift:
 
 
 class TestSupremumDrift:
+    """The instance M = int (U - X) dX has d<M,X> = (U - X) dt, so each drift
+    increment is the generic rate -(1/(U-X)) (1 - (U-X)^2/(T-t)) times
+    (U - X) dt."""
+
+    def _inc(self, u, x, ttime):
+        ctx = _ctx(0.01, [x, x], U=[u, u])
+        ctx.Ttimes = np.array([[ttime, math.inf]])
+        return _drift(sc._supremum_candidate, _cfg(0.01), ctx)[0]
+
     def test_hand_rate(self):
-        # U-X = 0.2, T-t = 0.1, d<M,X> = dt: rate -3.0
-        grid = TimeGrid(0.0, 0.01, 1)
-        u = GridPath(grid, np.array([0.7, 0.7]))
-        x = GridPath(grid, np.array([0.5, 0.5]))
-        ttimes = np.array([0.1, math.inf])
-        br = GridPath(grid, np.array([0.0, 0.01]))
-        ds = D.supremum_drift(u, x, ttimes, br)
-        assert ds.increments[0] == pytest.approx(-3.0 * 0.01)
+        # U-X = 0.2, T-t = 0.1: generic rate -3.0
+        assert self._inc(0.7, 0.5, 0.1) == pytest.approx(-3.0 * 0.2 * 0.01)
 
     def test_vanishing_factor(self):
         # (U-X)^2 = T - t: rate 0
-        grid = TimeGrid(0.0, 0.01, 1)
-        u = GridPath(grid, np.array([0.7, 0.7]))
-        x = GridPath(grid, np.array([0.5, 0.5]))
-        ttimes = np.array([0.04, math.inf])
-        br = GridPath(grid, np.array([0.0, 0.01]))
-        ds = D.supremum_drift(u, x, ttimes, br)
-        assert ds.increments[0] == pytest.approx(0.0, abs=1e-15)
+        assert self._inc(0.7, 0.5, 0.04) == pytest.approx(0.0, abs=1e-15)
 
     def test_record_point_cancellation(self):
         # at U = X the instance bracket vanishes and the step contributes 0,
         # while the cancelled rate tends to -1
-        grid = TimeGrid(0.0, 0.01, 1)
-        u = GridPath(grid, np.array([0.5, 0.5]))
-        x = GridPath(grid, np.array([0.5, 0.5]))
-        ttimes = np.array([0.005, math.inf])
-        br = GridPath(grid, np.array([0.0, 0.0]))
-        ds = D.supremum_drift(u, x, ttimes, br)
-        assert ds.increments[0] == 0.0
+        assert self._inc(0.5, 0.5, 0.005) == 0.0
         rate = D.supremum_instance_rate(np.array([1e-9]), np.array([0.5]))
         assert rate[0] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_noncancelling_bracket_at_record_raises(self):
-        grid = TimeGrid(0.0, 0.01, 1)
-        u = GridPath(grid, np.array([0.5, 0.5]))
-        x = GridPath(grid, np.array([0.5, 0.5]))
-        ttimes = np.array([0.005, math.inf])
-        br = GridPath(grid, np.array([0.0, 0.01]))
-        with pytest.raises(SingularityError):
-            D.supremum_drift(u, x, ttimes, br)
-
     def test_instance_cumulative_drift_bounded(self):
         # the instance correction is bounded even through records
-        grid = TimeGrid(0.0, 1e-3, 1000)
-        ens = simulate_brownian(grid, 5, seed=30)
+        cfg = sc.ScenarioConfig(scenario="supremum", dt=1e-3, seed=30)
+        grid = cfg.grid()
+        ctx = sc._supremum_block(cfg, grid, 0, 5)
         for i in range(5):
-            x = ens.path(i)
-            u = running_supremum(x)
-            gap = u.values[:-1] - x.values[:-1]
+            gap = ctx.U[i, :-1] - ctx.W[i, :-1]
             tau = np.full(grid.n, 0.25)
             rate = D.supremum_instance_rate(gap, tau)
             assert np.all(np.isfinite(rate))
@@ -243,42 +240,22 @@ class TestEmeryAfterDrift:
 
     def test_window_masking(self):
         grid = TimeGrid(0.0, 0.1, 9)
-        w = GridPath(grid, np.linspace(0.0, 0.9, 10))
-        ds = D.emery_after_drift(w, W1=0.9, xi=0.3, delta=0.1, horizon_cap=0.9)
+        ctx = _ctx(0.1, np.linspace(0.0, 0.9, 10), W1=0.9, xi=0.3)
+        inc = _drift(sc._emery_after_candidate, _cfg(0.1, delta=0.1), ctx)
         t_left = grid.times()[:-1]
         outside = (t_left < 0.4 - 1e-12) | (grid.times()[1:] > 0.9 + 1e-12)
-        assert np.all(ds.increments[outside] == 0.0)
-        assert np.any(ds.increments != 0.0)
+        assert np.all(inc[outside] == 0.0)
+        assert np.any(inc != 0.0)
 
 
 class TestFutureInfDecomposition:
     def test_transform_is_2I_minus_Z(self):
-        grid = TimeGrid(0.0, 0.25, 4)
-        z = GridPath(grid, np.array([1.0, 1.2, 0.9, 1.5, 2.0]))
-        i = GridPath(grid, np.array([0.5, 0.5, 0.8, 0.8, 1.0]))
-        br = bracket_estimate(
-            GridPath(grid, -1.0 / z.values), GridPath(grid, -1.0 / z.values)
-        )
-        ds, transform = D.future_inf_decomposition(z, i, reciprocal_scale(), br)
-        assert np.allclose(transform.values, 2 * i.values - z.values)
-
-    def test_drift_reduces_when_I_constant(self):
-        grid = TimeGrid(0.0, 0.25, 4)
-        z = GridPath(grid, np.array([1.0, 1.2, 0.9, 1.5, 2.0]))
-        i = GridPath(grid, np.full(5, 0.5))
-        e_z = GridPath(grid, -1.0 / z.values)
-        br = bracket_estimate(e_z, e_z)
-        ds, _ = D.future_inf_decomposition(z, i, reciprocal_scale(), br)
-        want = np.diff(br.values) / (-1.0 / z.values[:-1])
-        assert np.allclose(ds.increments, want)
-
-    def test_positive_paths_required(self):
-        grid = TimeGrid(0.0, 0.25, 4)
-        z = GridPath(grid, np.array([1.0, -1.2, 0.9, 1.5, 2.0]))
-        i = GridPath(grid, np.full(5, 0.5))
-        br = GridPath(grid, np.zeros(5))
-        with pytest.raises(DomainError):
-            D.future_inf_decomposition(z, i, reciprocal_scale(), br)
+        # the candidate 1/e(Z) - 2/e(I) is 2I - Z for e(z) = -1/z
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=0.01, seed=9)
+        ctx = sc._pitman_block(cfg, cfg.grid(), 0, 20)
+        e = reciprocal_scale().e
+        assert np.all((ctx.I > 0.0) & (ctx.I <= ctx.W))
+        assert np.allclose(ctx.transform, 1.0 / e(ctx.W) - 2.0 / e(ctx.I))
 
     def test_initial_pitman_mean_zero(self):
         # E[2 I_0 - Z_0] = 2 (r0/2) - r0 = 0 under the uniform initial-infimum law
@@ -292,13 +269,7 @@ class TestFutureInfDecomposition:
 
 class TestDriftSeriesFiniteness:
     def test_rates_finite_inside_windows(self):
-        grid = TimeGrid(0.0, 1e-3, 1000)
-        ens = simulate_brownian(grid, 50, seed=31)
-        for i in range(50):
-            w = ens.path(i)
-            w1 = float(w.values[-1])
-            ds = D.bridge_drift(w, w1)
-            assert np.all(np.isfinite(ds.increments))
-            az = D.emery_azema(w)
-            ds2 = D.progressive_drift(w, az, t_time=0.9)
-            assert np.all(np.isfinite(ds2.increments))
+        cfg = sc.ScenarioConfig(scenario="emery-before", dt=1e-3, seed=31)
+        ctx = sc._emery_block(cfg, cfg.grid(), 0, 50)
+        assert np.all(np.isfinite(sc._bridge_candidate(cfg, ctx)))
+        assert np.all(np.isfinite(sc._emery_before_candidate(cfg, ctx)))

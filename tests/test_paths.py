@@ -1,4 +1,8 @@
-"""Simulation, enlargement data, and the RNG determinism contract."""
+"""Simulation, conditioning data, and the RNG determinism contract.
+
+The Brownian, supremum, last-passage and Pitman block kernels live in
+``filtralab.scenarios``; the per-path reference operations in ``paths``.
+"""
 
 import math
 
@@ -9,6 +13,8 @@ from scipy.stats import kstest
 from filtralab.errors import ConfigurationError, DomainError
 from filtralab.grids import GridPath, TimeGrid
 from filtralab import paths as P
+from filtralab import scenarios as sc
+from filtralab.rng import substream
 
 
 GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
@@ -17,37 +23,38 @@ GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
 class TestSimulateBrownian:
     def test_starts_at_zero_and_variance(self):
         grid = TimeGrid(0.0, 1e-3, 1000)
-        ens = P.simulate_brownian(grid, 4, seed=3)
-        assert np.all(ens.matrix[:, 0] == 0.0)
+        block = sc._brownian_block(grid, 3, 0, 4)
+        assert np.all(block[:, 0] == 0.0)
         # per-path increment variance over 10^6 steps within 1%
         big = TimeGrid(0.0, 1e-3, 10**6)
-        one = P.simulate_brownian(big, 1, seed=3)
-        v = np.var(np.diff(one.matrix[0]), ddof=1)
+        one = sc._brownian_block(big, 3, 0, 1)
+        v = np.var(np.diff(one[0]), ddof=1)
         assert abs(v - big.dt) <= 0.01 * big.dt
 
     def test_determinism_bit_identical(self):
         grid = TimeGrid(0.0, 0.01, 100)
-        a = P.simulate_brownian(grid, 8, seed=7)
-        b = P.simulate_brownian(grid, 8, seed=7)
-        assert np.array_equal(a.matrix, b.matrix)
+        a = sc._brownian_block(grid, 7, 0, 8)
+        b = sc._brownian_block(grid, 7, 0, 8)
+        assert np.array_equal(a, b)
 
     def test_per_path_streams_ignore_ensemble_size(self):
         grid = TimeGrid(0.0, 0.01, 50)
-        small = P.simulate_brownian(grid, 3, seed=11)
-        large = P.simulate_brownian(grid, 10, seed=11)
-        assert np.array_equal(small.matrix, large.matrix[:3])
+        small = sc._brownian_block(grid, 11, 0, 3)
+        large = sc._brownian_block(grid, 11, 0, 10)
+        assert np.array_equal(small, large[:3])
+        assert np.array_equal(sc._brownian_block(grid, 11, 2, 5), large[2:5])
 
     def test_terminal_mean_symmetry(self):
         grid = TimeGrid(0.0, 0.01, 100)
-        ens = P.simulate_brownian(grid, 100_000, seed=5)
-        m = ens.matrix[:, -1].mean()
+        block = sc._brownian_block(grid, 5, 0, 100_000)
+        m = block[:, -1].mean()
         assert abs(m) <= 3.0 * math.sqrt(1.0 / 100_000)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, -0.1, 10)
         with pytest.raises(ConfigurationError):
-            P.simulate_brownian(TimeGrid(0.0, 0.1, 10), 0, seed=1)
+            sc.ScenarioConfig(scenario="bridge", dt=0.1, n_paths=0).validated()
 
 
 class TestSimulateBes3:
@@ -76,26 +83,36 @@ class TestSimulateBes3:
             P.simulate_bes3(TimeGrid(0.0, 0.1, 10), 0.0, 1, seed=1)
 
 
+def _supremum_ctx(n_paths=5, seed=19, dt=1e-2):
+    cfg = sc.ScenarioConfig(scenario="supremum", dt=dt, seed=seed)
+    return sc._supremum_block(cfg, cfg.grid(), 0, n_paths)
+
+
+def _step_maxima(ctx, seed):
+    """Per-step bridge maxima drawn from the paths' own bridge_min streams."""
+    n = ctx.grid.n
+    u = np.array(
+        [1.0 - substream(seed, "bridge_min", i).uniform(size=n) for i in range(len(ctx.W))]
+    )
+    return P._bridge_max(ctx.W[:, :-1], ctx.W[:, 1:], ctx.grid.dt, u)
+
+
 class TestRunningSupremum:
+    """The supremum block samples the continuum running supremum exactly."""
+
     def test_direct_definition(self):
-        p = GridPath(GRID3, np.array([0.0, 1.0, 0.5, 2.0]))
-        assert np.array_equal(P.running_supremum(p).values, [0.0, 1.0, 1.0, 2.0])
-
-    def test_constant_path_identity(self):
-        p = GridPath(GRID3, np.full(4, 1.5))
-        assert np.array_equal(P.running_supremum(p).values, p.values)
-
-    def test_decreasing_path(self):
-        p = GridPath(GRID3, np.array([3.0, 2.0, 1.0, 0.5]))
-        assert np.array_equal(P.running_supremum(p).values, np.full(4, 3.0))
+        ctx = _supremum_ctx()
+        step_max = _step_maxima(ctx, 19)
+        for i in range(len(ctx.W)):
+            for k in range(ctx.grid.n + 1):
+                want = max([ctx.W[i, 0]] + list(step_max[i, :k]))
+                assert ctx.U[i, k] == want
 
     def test_idempotent_and_monotone(self):
-        rng = np.random.default_rng(0)
-        p = GridPath(TimeGrid(0.0, 0.1, 30), rng.normal(size=31))
-        u = P.running_supremum(p)
-        assert np.array_equal(P.running_supremum(u).values, u.values)
-        q = p.with_values(p.values + np.abs(rng.normal(size=31)))
-        assert np.all(P.running_supremum(q).values >= u.values)
+        ctx = _supremum_ctx()
+        assert np.array_equal(np.maximum.accumulate(ctx.U, axis=1), ctx.U)
+        # the continuum supremum is never below the grid supremum
+        assert np.all(ctx.U >= np.maximum.accumulate(ctx.W, axis=1))
 
 
 class TestFutureInfimum:
@@ -179,68 +196,63 @@ class TestCrossings:
     def test_last_zero_takes_final_sign_change(self):
         # [0, 1, -1, 2]: the last straddle is (-1, 2), interpolated at 2/3 + 1/9
         p = GridPath(GRID3, np.array([0.0, 1.0, -1.0, 2.0]))
-        assert P.last_zero(p, 1.0) == pytest.approx(7.0 / 9.0, abs=1e-12)
+        assert P.last_level_crossing(p, 0.0, 1.0) == pytest.approx(7.0 / 9.0, abs=1e-12)
 
     def test_never_zero_after_origin(self):
         p = GridPath(GRID3, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert P.last_zero(p, 1.0) == 0.0
+        assert P.last_level_crossing(p, 0.0, 1.0) == 0.0
 
 
 class TestNextSupIncrease:
+    """Record times: the midpoint of the next step in which the supremum
+    rises, completed past the horizon by one exact first-passage draw."""
+
     def test_first_later_record(self):
-        p = GridPath(GRID3, np.array([0.0, 1.0, 0.5, 2.0]))
-        u = P.running_supremum(p)
-        assert P.next_sup_increase(p, u, 1) == pytest.approx(1.0)
+        ctx = _supremum_ctx()
+        rises = _step_maxima(ctx, 19) > ctx.U[:, :-1]
+        mid = ctx.times[:-1] + 0.5 * ctx.grid.dt
+        for i in range(len(ctx.W)):
+            for k in range(ctx.grid.n):
+                later = np.nonzero(rises[i, k:])[0]
+                if len(later):
+                    assert ctx.Ttimes[i, k] == mid[k + later[0]]
 
     def test_global_argmax_sentinel(self):
-        p = GridPath(GRID3, np.array([0.0, 2.0, 0.5, 1.0]))
-        u = P.running_supremum(p)
-        assert P.next_sup_increase(p, u, 1) == math.inf
-
-    def test_strictly_increasing(self):
-        p = GridPath(GRID3, np.array([0.0, 1.0, 2.0, 3.0]))
-        u = P.running_supremum(p)
-        for k in range(3):
-            assert P.next_sup_increase(p, u, k) == pytest.approx((k + 1) / 3.0)
+        # every point after the last record shares the one post-horizon time
+        ctx = _supremum_ctx()
+        for i in range(len(ctx.W)):
+            censored = ctx.Ttimes[i] >= 1.0
+            assert np.all(ctx.Ttimes[i, censored] == ctx.Ttimes[i, -1])
+            assert np.all(censored[np.argmax(censored):])
 
     def test_tail_completion(self):
-        p = GridPath(GRID3, np.array([0.0, 2.0, 0.5, 1.0]))
-        u = P.running_supremum(p)
-        times = P.sup_increase_times(p, u, seed=5)
-        assert np.all(times >= p.times())
-        assert np.all(np.isfinite(times))
-        assert times[1] > 1.0  # censored entries pushed past the horizon
+        ctx = _supremum_ctx()
+        assert np.all(ctx.Ttimes >= ctx.times)
+        assert np.all(np.isfinite(ctx.Ttimes))
+        gap = ctx.U[:, -1] - ctx.W[:, -1]
+        # censored entries pushed past the horizon
+        assert np.all(ctx.Ttimes[gap > 0.0, -1] > 1.0)
 
 
 class TestExtractEnlargement:
     def test_fields_and_invariants(self):
-        grid = TimeGrid(0.0, 1e-2, 100)
-        ens = P.simulate_bes3(grid, 1.0, 5, seed=19)
-        for i in range(5):
-            p = ens.path(i)
-            data = P.extract_enlargement(p, seed=19, stream_id=i, scale=P.reciprocal_scale())
-            assert np.all(np.diff(data.U.values) >= 0.0)
-            assert np.all(np.diff(data.I.values) >= 0.0)
-            assert np.all(data.I.values <= p.values + 1e-15)
-            assert 0.0 <= data.xi <= grid.horizon
-            assert 0.0 <= data.g <= grid.horizon
-            assert np.all(data.Ttimes >= p.times())
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-2, seed=19)
+        grid = cfg.grid()
+        pit = sc._pitman_block(cfg, grid, 0, 5)
+        assert np.all(np.diff(pit.I, axis=1) >= 0.0)
+        assert np.all(pit.I <= pit.W + 1e-15)
+        sup = sc._supremum_block(cfg, grid, 0, 5)
+        assert np.all(np.diff(sup.U, axis=1) >= 0.0)
+        assert np.all(sup.Ttimes >= grid.times())
+        xi = sc._emery_block(cfg, grid, 0, 5).xi
+        g = sc._honest_block(cfg, grid, 0, 5).g
+        for tau in (xi, g):
+            assert np.all((0.0 <= tau) & (tau <= grid.horizon))
 
 
 class TestBracketEstimate:
-    def test_hand_example(self):
-        grid = TimeGrid(0.0, 0.5, 2)
-        p = GridPath(grid, np.array([0.0, 1.0, 3.0]))
-        assert np.array_equal(P.bracket_estimate(p, p).values, [0.0, 1.0, 5.0])
-
-    def test_constant_factor_zero(self):
-        grid = TimeGrid(0.0, 0.5, 2)
-        a = GridPath(grid, np.array([2.0, 2.0, 2.0]))
-        b = GridPath(grid, np.array([0.0, 1.0, 3.0]))
-        assert np.all(P.bracket_estimate(a, b).values == 0.0)
-
     def test_brownian_quadratic_variation(self):
         grid = TimeGrid(0.0, 1e-4, 10_000)
-        ens = P.simulate_brownian(grid, 1, seed=17)
-        qv = P.bracket_estimate(ens.path(0), ens.path(0)).values[-1]
+        path = sc._brownian_block(grid, 17, 0, 1)[0]
+        qv = np.sum(np.diff(path) ** 2)
         assert abs(qv - 1.0) <= 0.05

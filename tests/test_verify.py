@@ -1,4 +1,4 @@
-"""Martingale test harness: accumulators, correction, regression."""
+"""Martingale test harness: accumulators, statistics, correction."""
 
 import math
 
@@ -11,8 +11,6 @@ from filtralab.verify import (
     MomentAccumulator,
     TestFunctional,
     bonferroni_threshold,
-    conditional_increment_stat,
-    drift_regression,
     martingale_suite,
 )
 
@@ -67,8 +65,10 @@ def _acc(values):
 
 
 class TestConditionalIncrementStat:
+    """(mean, stderr, z) of (X_t - X_s) * H_s over paths, as the suite reduces it."""
+
     def test_constant_process(self):
-        mean, stderr, z = conditional_increment_stat(np.zeros(500), np.ones(500))
+        mean, stderr, z = _acc(np.zeros(500) * np.ones(500)).stats()
         assert mean == 0.0 and z == 0.0
 
     def test_brownian_null_calibration(self):
@@ -76,7 +76,7 @@ class TestConditionalIncrementStat:
         rng = np.random.default_rng(4)
         inc = rng.normal(0.0, 1.0, size=50_000)
         h = np.sign(rng.normal(size=50_000))
-        _, _, z = conditional_increment_stat(inc, h)
+        _, _, z = _acc(inc * h).stats()
         assert abs(z) <= 4.0
 
     def test_bridge_uncorrected_power(self):
@@ -87,7 +87,7 @@ class TestConditionalIncrementStat:
         ws = rng.normal(0.0, math.sqrt(s), n)
         wt = ws + rng.normal(0.0, math.sqrt(t - s), n)
         w1 = wt + rng.normal(0.0, math.sqrt(1.0 - t), n)
-        _, _, z = conditional_increment_stat(wt - ws, np.sign(w1 - ws))
+        _, _, z = _acc((wt - ws) * np.sign(w1 - ws)).stats()
         assert z > 5.0
 
 
@@ -143,49 +143,3 @@ class TestFunctionalBound:
     def test_clipping_tolerance(self):
         f = TestFunctional("edge", lambda ctx, si: np.full(4, 1.0 + 1e-12))
         assert np.all(f.values(None, 0) <= 1.0)
-
-
-class TestDriftRegression:
-    def test_deterministic_rate(self):
-        # X_t = t: every bin rate exactly 1
-        state = np.linspace(-1, 1, 2000)
-        incs = np.full(2000, 0.01)
-        rows = drift_regression(state, incs, 0.01, lambda s: np.ones_like(s), bins=5)
-        for r in rows:
-            assert not r["empty"]
-            assert r["empirical_rate"] == pytest.approx(1.0)
-            assert abs(r["z"]) <= 1e-9 or r["stderr"] == 0.0
-
-    def test_zero_drift_within_three_sigma(self):
-        rng = np.random.default_rng(7)
-        state = rng.normal(size=20_000)
-        incs = rng.normal(0.0, 0.1, size=20_000)
-        rows = drift_regression(state, incs, 1.0, lambda s: np.zeros_like(s), bins=8)
-        assert sum(abs(r["z"]) > 3.5 for r in rows if not r["empty"]) == 0
-
-    def test_bridge_slope_recovery(self):
-        # bins over W_t at t = 0.5 among paths with W1 in a narrow band:
-        # E[dW]/dt vs W_t has slope -1/(1-t) = -2
-        rng = np.random.default_rng(8)
-        n, t, h = 400_000, 0.5, 0.01
-        wt = rng.normal(0.0, math.sqrt(t), n)
-        w1 = wt + rng.normal(0.0, math.sqrt(1.0 - t), n)
-        band = np.abs(w1 - 1.0) < 0.05
-        # exact conditional mean increment under the bridge law
-        inc = (w1 - wt) / (1.0 - t) * h + rng.normal(0.0, math.sqrt(h), n)
-        state = np.where(band, wt, np.nan)
-        rows = drift_regression(state, inc, h, lambda s: (1.0 - s) / (1.0 - t), bins=10)
-        xs = [r["state_mean"] for r in rows if not r["empty"]]
-        ys = [r["empirical_rate"] for r in rows if not r["empty"]]
-        slope = np.polyfit(xs, ys, 1)[0]
-        ses = [r["stderr"] for r in rows if not r["empty"]]
-        slope_se = np.mean(ses) / np.std(xs)
-        assert abs(slope - (-2.0)) <= 3.0 * slope_se
-        # and the rate function itself matches bin-wise
-        for r in rows:
-            if not r["empty"]:
-                assert abs(r["z"]) <= 4.0
-
-    def test_bins_minimum(self):
-        with pytest.raises(ConfigurationError):
-            drift_regression(np.zeros(10), np.zeros(10), 1.0, lambda s: s, bins=3)
