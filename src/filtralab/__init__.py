@@ -2,18 +2,17 @@
 
 Submodules: ``elemint`` (deterministic elementary-integral calculus),
 ``gluing`` (local-to-global semimartingale decomposition), ``paths``
-(Bessel(3) simulation and per-path reference operations), ``drifts``
+(Bessel(3) simulation, bridge extrema and level crossings), ``drifts``
 (closed-form drift ingredients), ``verify`` (Monte Carlo martingale
 certification), ``scenarios``/``cli`` (block kernels and experiment runner).
 """
 
-from .grids import GridPath, PathEnsemble, TimeGrid
+from .grids import GridPath, TimeGrid
 from .paths import ScaleFunction, reciprocal_scale
 
 __all__ = [
     "TimeGrid",
     "GridPath",
-    "PathEnsemble",
     "ScaleFunction",
     "reciprocal_scale",
 ]

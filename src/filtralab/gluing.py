@@ -144,7 +144,6 @@ class GluedDecomposition:
     V_minus: GridPath
     l_union: GridPath
     A_jump_sum: GridPath
-    chi_ceiling_exceeded: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +245,13 @@ def build_sets(system: PieceSystem, eps_list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def assemble_chi_union(
-    system: PieceSystem,
-    tol: float = 1e-12,
-    ceiling: float = math.inf,
-) -> GridPath:
+def assemble_chi_union(system: PieceSystem, tol: float = 1e-12) -> GridPath:
     """Merge the per-piece drifts into the union drift.
 
     On every grid step the covering pieces must agree on the drift
     increment to within ``tol``; the merged increment is their common value
     and 0 off the union.  The cumulative sum is the distribution function
-    whose existence is the gluing condition; ``ceiling`` bounds its total
-    variation and a breach is reported by the caller, not raised.
+    whose existence is the gluing condition.
     """
     grid = system.grid
     times_r = grid.times()[1:]
@@ -282,8 +276,6 @@ def assemble_chi_union(
     out = np.empty(grid.n + 1)
     out[0] = 0.0
     np.cumsum(merged, out=out[1:])
-    if np.sum(np.abs(merged)) > ceiling:
-        raise DataError("total variation of the merged drift exceeds the ceiling")
     return GridPath(grid, out)
 
 
@@ -316,9 +308,7 @@ def glue(
     system: PieceSystem,
     eps_list,
     jump_mask: np.ndarray | None = None,
-    overlap_tol: float = 1e-12,
     support_tol: float = 0.0,
-    chi_ceiling: float = 1e12,
     strict: bool = True,
 ) -> GluedDecomposition:
     """Run the whole gluing algorithm and return the decomposition.
@@ -350,14 +340,7 @@ def glue(
 
     a_mask, c_jumps, eps_masks, ladders = build_sets(system, eps_list)
 
-    ceiling_hit = False
-    try:
-        chi_union = assemble_chi_union(system, tol=overlap_tol, ceiling=chi_ceiling)
-    except DataError as err:
-        if "ceiling" not in str(err):
-            raise
-        ceiling_hit = True
-        chi_union = assemble_chi_union(system, tol=overlap_tol)
+    chi_union = assemble_chi_union(system)
 
     d = system.S.values - system.S_check.values
     x_plus = np.maximum(d, 0.0)
@@ -410,7 +393,6 @@ def glue(
         V_minus=GridPath(grid, v_minus),
         l_union=GridPath(grid, l_union),
         A_jump_sum=a_jump,
-        chi_ceiling_exceeded=ceiling_hit,
     )
 
 

@@ -1,8 +1,8 @@
 """Uniform time grids and grid-sampled cadlag paths.
 
 Every simulated process and every integral in the package lives on a
-``TimeGrid``.  A ``GridPath`` holds one sample path; ensembles keep a
-paths-by-points matrix and hand out ``GridPath`` views on demand.
+``TimeGrid``.  A ``GridPath`` holds one sample path; blocks of paths are
+plain paths-by-points matrices on one grid.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 
-__all__ = ["TimeGrid", "GridPath", "PathEnsemble"]
+__all__ = ["TimeGrid", "GridPath"]
 
 
 @dataclass(frozen=True)
@@ -80,44 +80,3 @@ class GridPath:
     def value_at(self, t: float) -> float:
         """Step-convention evaluation: value at the last grid point <= t."""
         return float(self.values[self.grid.floor_index(t)])
-
-    def with_values(self, values: np.ndarray) -> "GridPath":
-        return GridPath(self.grid, np.asarray(values, dtype=float))
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """A family of paths on one grid with reproducible per-path RNG streams.
-
-    ``matrix`` has shape (n_paths, grid.n + 1).  Regenerating with the same
-    seed reproduces the matrix bit-identically, regardless of how the paths
-    were scheduled.
-    """
-
-    grid: TimeGrid
-    matrix: np.ndarray = field(repr=False)
-    seed: int
-    stream_ids: tuple
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] != self.grid.n + 1:
-            raise DataError(f"matrix shape {m.shape} does not match grid n={self.grid.n}")
-        if m.shape[0] != len(self.stream_ids):
-            raise DataError("one stream id per path is required")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_paths(self) -> int:
-        return self.matrix.shape[0]
-
-    def path(self, i: int) -> GridPath:
-        return GridPath(self.grid, self.matrix[i])
-
-    def __len__(self) -> int:
-        return self.n_paths
-
-    def __iter__(self):
-        return (self.path(i) for i in range(self.n_paths))

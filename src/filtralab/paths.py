@@ -1,10 +1,10 @@
-"""Bessel(3) simulation, bridge extrema and per-path reference operations.
+"""Bessel(3) simulation, bridge extrema and the interpolated level crossing.
 
 The scenarios' block kernels simulate and condition whole blocks of paths;
-this module holds what they share and the per-path forms tests compare
-against: exact Brownian-bridge extremum draws, the Pitman construction of
-a Bessel(3) path, Bessel(3) ensembles (exact or Euler), the future infimum
-with its exact post-horizon tail, and the interpolated last level crossing.
+this module holds what they share: exact Brownian-bridge extremum draws,
+the Pitman construction of a Bessel(3) path, the reflecting Euler block
+kernel of the Bessel(3) SDE, the scale function whose inverse completes the
+future infimum past the horizon, and the interpolated last level crossing.
 
 Simulation is deterministic per (seed, path index) through counter-based
 substreams, so results do not depend on evaluation order across paths.
@@ -18,16 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericalDegeneracyError
-from .grids import GridPath, PathEnsemble, TimeGrid
+from .errors import DomainError, NumericalDegeneracyError
+from .grids import GridPath, TimeGrid
 from .rng import substream
 
 __all__ = [
     "ScaleFunction",
     "reciprocal_scale",
     "pitman_from_draws",
-    "simulate_bes3",
-    "future_infimum",
+    "euler_bes3_block",
     "last_level_crossing",
 ]
 
@@ -102,100 +101,31 @@ def pitman_from_draws(
     return 2.0 * m - b
 
 
-def simulate_bes3(
-    grid: TimeGrid,
-    r0: float,
-    n_paths: int,
-    seed: int,
-    method: str = "pitman-construction",
-) -> PathEnsemble:
-    """Three-dimensional Bessel paths from r0 > 0.
+def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Euler paths of dR = dt/R + dW from R_0 = 1, reflected at 0, for paths [lo, hi).
 
-    ``pitman-construction`` is exact in law and strictly positive by
-    construction.  ``euler-sde`` integrates dR = dt/R + dW with reflection
-    at 0 and is kept as a cross-check oracle; a path whose reflected value
-    still touches <= 0 raises ``NumericalDegeneracyError`` instead of being
-    clamped.
+    Each path draws its normals from its own ``bes3`` substream; the loop
+    runs over time only, on all paths at once.  A step that lands below 0
+    is reflected; one whose reflected value is still <= 0 raises
+    ``NumericalDegeneracyError`` instead of being clamped.
     """
-    if r0 <= 0.0:
-        raise DomainError(f"r0 must be > 0, got {r0}")
-    if n_paths < 1:
-        raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    if method not in ("pitman-construction", "euler-sde"):
-        raise ConfigurationError(f"unknown method {method!r}")
-
-    out = np.empty((n_paths, grid.n + 1))
-    if method == "pitman-construction":
-        for i in range(n_paths):
-            g = substream(seed, "bes3", i)
-            # uniforms mapped to (0, 1]: log(0) must be unreachable
-            j0u = 1.0 - g.uniform()
-            z = g.standard_normal(grid.n)
-            bu = 1.0 - g.uniform(size=grid.n)
-            out[i] = pitman_from_draws(r0, j0u, z, bu, grid.dt)
-    else:
-        sqdt = math.sqrt(grid.dt)
-        bad: list = []
-        for i in range(n_paths):
-            z = substream(seed, "bes3", i).standard_normal(grid.n)
-            r = r0
-            out[i, 0] = r0
-            for k in range(grid.n):
-                r = r + grid.dt / r + sqdt * z[k]
-                if r <= 0.0:
-                    r = -r  # reflection floor, not a clamp
-                    if r <= 0.0:  # reflection could not restore positivity
-                        bad.append((i, k + 1))
-                out[i, k + 1] = r
-        if bad:
+    sqdt = math.sqrt(grid.dt)
+    out = np.empty((grid.n + 1, hi - lo))
+    out[0] = 1.0
+    for i in range(lo, hi):
+        out[1:, i - lo] = substream(seed, "bes3", i).standard_normal(grid.n)
+    for k in range(grid.n):
+        cur, nxt = out[k], out[k + 1]
+        nxt *= sqdt
+        nxt += cur + grid.dt / cur
+        np.abs(nxt, out=nxt)  # reflection floor, not a clamp
+        stuck = np.nonzero(nxt <= 0.0)[0]
+        if len(stuck):
             raise NumericalDegeneracyError(
-                f"euler-sde stuck at non-positive values at (path, step) {bad[:5]}"
-                + ("..." if len(bad) > 5 else "")
+                f"euler-sde path {lo + stuck[0]} is stuck at 0 after reflection "
+                f"at step {k + 1}"
             )
-    return PathEnsemble(grid, out, seed, tuple(range(n_paths)))
-
-
-# ---------------------------------------------------------------------------
-# pathwise extraction
-# ---------------------------------------------------------------------------
-
-
-def future_infimum(
-    path: GridPath,
-    scale: ScaleFunction,
-    seed: int,
-    stream_id: int = 0,
-    refine: str = "none",
-) -> GridPath:
-    """I_t = inf over s >= t of the path, completed past the horizon.
-
-    The post-horizon infimum is a single random variable; it is drawn
-    exactly from the conditional law given the terminal value (uniform on
-    (0, Z_T) for e(z) = -1/z) and shared by every t, which removes the
-    horizon-truncation bias entirely.
-
-    ``refine="bridge-min"`` additionally samples the exact Brownian-bridge
-    minimum of every grid step before taking the backward minimum; this
-    removes the O(sqrt(dt)) discrete-monitoring bias of the plain
-    grid-point minimum and is what the Pitman verification runs use.
-    """
-    v = path.values
-    if np.any(v <= 0.0):
-        raise DomainError("future_infimum requires a strictly positive path")
-    if refine not in ("none", "bridge-min"):
-        raise ConfigurationError(f"unknown refine mode {refine!r}")
-
-    u_tail = 1.0 - float(substream(seed, "inf_tail", stream_id).uniform())
-    tail = scale.tail_sample(float(v[-1]), u_tail)
-
-    if refine == "bridge-min":
-        u = 1.0 - substream(seed, "bridge_min", stream_id).uniform(size=path.grid.n)
-        step_min = _bridge_min(v[:-1], v[1:], path.grid.dt, u)
-        ext = np.append(step_min, min(float(v[-1]), tail))
-        back = np.minimum.accumulate(ext[::-1])[::-1]
-    else:
-        back = np.minimum.accumulate(np.minimum(v, tail)[::-1])[::-1]
-    return path.with_values(back)
+    return np.ascontiguousarray(out.T)
 
 
 def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:

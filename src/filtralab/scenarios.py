@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -32,6 +32,7 @@ from .gluing import PieceSystem, _mask_runs, glue, reconstruction_residual
 from .paths import (
     ScaleFunction,
     _bridge_min,
+    euler_bes3_block,
     pitman_from_draws,
     reciprocal_scale,
 )
@@ -117,6 +118,14 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"delta = {self.delta} must be >= dt = {self.dt} and < horizon = {self.horizon}"
             )
+        # the last step a correction window can hold ends at this time
+        window_end = {"bridge": self.horizon, "emery-after": _AFTER_CAP, "honest": _AFTER_CAP}
+        end = window_end.get(self.scenario)
+        if end is not None and self.delta > end - self.dt + 1e-12:
+            raise ConfigurationError(
+                f"delta = {self.delta} leaves the {self.scenario} correction window "
+                f"empty; it must be <= {end:g} - dt = {end - self.dt:g}"
+            )
         if self.n_paths < 100:
             raise ConfigurationError(
                 f"statistical scenarios need n_paths >= 100, got {self.n_paths}"
@@ -134,7 +143,6 @@ class ScenarioResult:
     name: str
     report: MartingaleTestReport
     extra_entries: tuple = ()
-    notes: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -306,11 +314,7 @@ def run_bridge(cfg: ScenarioConfig) -> ScenarioResult:
     pts = [0.2, 0.4, 0.6, 0.8]
     checkpoints = [(s, t) for s in pts for t in pts if s < t]
     funcs = _base_functionals() + [
-        TestFunctional(
-            "sign(W1-W)",
-            lambda ctx, si: np.sign(ctx.W1 - ctx.W[:, si]),
-            info_class="enlarged",
-        )
+        TestFunctional("sign(W1-W)", lambda ctx, si: np.sign(ctx.W1 - ctx.W[:, si]))
     ]
     report = _suite_from_blocks(
         cfg, _bridge_block, [("", _bridge_candidate, lambda s, t: funcs, checkpoints)]
@@ -392,16 +396,11 @@ def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
             return lambda ctx, si_: record_free(ctx) * fn(ctx, si_)
 
         return [
-            TestFunctional("recfree", lambda ctx, si_: record_free(ctx), "enlarged"),
-            TestFunctional(
-                "recfree*tanh(U)",
-                masked(lambda ctx, si_: np.tanh(ctx.U[:, si_])),
-                "enlarged",
-            ),
+            TestFunctional("recfree", lambda ctx, si_: record_free(ctx)),
+            TestFunctional("recfree*tanh(U)", masked(lambda ctx, si_: np.tanh(ctx.U[:, si_]))),
             TestFunctional(
                 "recfree*tanh(U-W)",
                 masked(lambda ctx, si_: np.tanh(ctx.U[:, si_] - ctx.W[:, si_])),
-                "enlarged",
             ),
             TestFunctional(
                 "recfree*ratio",
@@ -412,7 +411,6 @@ def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
                         / np.maximum(ctx.Ttimes[:, si_] - ctx.times[si_], 1e-300),
                     )
                 ),
-                "enlarged",
             ),
         ]
 
@@ -519,12 +517,8 @@ def _emery_before_functionals(cfg: ScenarioConfig, s: float) -> list:
         return (ctx.xi > ctx.times[si]).astype(float)
 
     return _base_functionals() + [
-        TestFunctional("1[xi<=s]", lambda ctx, si: 1.0 - not_yet(ctx), "enlarged"),
-        TestFunctional(
-            "sign(W)*1[xi>s]",
-            lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx),
-            "enlarged",
-        ),
+        TestFunctional("1[xi<=s]", lambda ctx, si: 1.0 - not_yet(ctx)),
+        TestFunctional("sign(W)*1[xi>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx)),
     ]
 
 
@@ -533,21 +527,12 @@ def _emery_after_functionals(cfg: ScenarioConfig, s: float) -> list:
         return (ctx.xi <= s - cfg.delta).astype(float)
 
     return [
-        TestFunctional("1[xi<=s-d]", lambda ctx, si: mask(ctx), "enlarged"),
-        TestFunctional(
-            "mask*sign(W)",
-            lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si]),
-            "enlarged",
-        ),
-        TestFunctional(
-            "mask*sign(W1)",
-            lambda ctx, si: mask(ctx) * np.sign(ctx.W1),
-            "enlarged",
-        ),
+        TestFunctional("1[xi<=s-d]", lambda ctx, si: mask(ctx)),
+        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
+        TestFunctional("mask*sign(W1)", lambda ctx, si: mask(ctx) * np.sign(ctx.W1)),
         TestFunctional(
             "mask*sign(W-W1/2)",
             lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si] - ctx.W1 / 2.0),
-            "enlarged",
         ),
     ]
 
@@ -658,12 +643,8 @@ def _honest_before_functionals(cfg: ScenarioConfig, s: float) -> list:
         return (ctx.g > s).astype(float)
 
     return _base_functionals() + [
-        TestFunctional("1[g<=s]", lambda ctx, si: 1.0 - not_yet(ctx), "enlarged"),
-        TestFunctional(
-            "sign(W)*1[g>s]",
-            lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx),
-            "enlarged",
-        ),
+        TestFunctional("1[g<=s]", lambda ctx, si: 1.0 - not_yet(ctx)),
+        TestFunctional("sign(W)*1[g>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx)),
     ]
 
 
@@ -672,12 +653,8 @@ def _honest_after_functionals(cfg: ScenarioConfig, s: float) -> list:
         return (ctx.g <= s - cfg.delta).astype(float)
 
     return [
-        TestFunctional("1[g<=s-d]", lambda ctx, si: mask(ctx), "enlarged"),
-        TestFunctional(
-            "mask*sign(W)",
-            lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si]),
-            "enlarged",
-        ),
+        TestFunctional("1[g<=s-d]", lambda ctx, si: mask(ctx)),
+        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
     ]
 
 
@@ -706,12 +683,17 @@ def run_honest(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
-    from .errors import NumericalDegeneracyError
+    """Bessel(3) paths from 1 with their future infimum I and the transform 2I - R.
 
+    The paths come from the Pitman construction (exact in law) or the
+    reflecting Euler kernel.  I is the backward minimum of every step's
+    exact bridge minimum, completed past the horizon by one exact draw of
+    the eventual infimum given the terminal value.
+    """
     scale = reciprocal_scale()
     nb, n = hi - lo, grid.n
-    r = np.empty((nb, n + 1))
     if cfg.bes_method == "pitman-construction":
+        r = np.empty((nb, n + 1))
         for i in range(lo, hi):
             gen = substream(cfg.seed, "bes3", i)
             j0u = 1.0 - gen.uniform()
@@ -719,18 +701,7 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
             bu = 1.0 - gen.uniform(size=n)
             r[i - lo] = pitman_from_draws(1.0, j0u, z, bu, grid.dt)
     else:
-        sqdt = math.sqrt(grid.dt)
-        for i in range(lo, hi):
-            z = substream(cfg.seed, "bes3", i).standard_normal(n)
-            cur = 1.0
-            r[i - lo, 0] = cur
-            for k in range(n):
-                cur = cur + grid.dt / cur + sqdt * z[k]
-                if cur <= 0.0:
-                    raise NumericalDegeneracyError(
-                        f"euler-sde path {i} proposed a non-positive value at step {k + 1}"
-                    )
-                r[i - lo, k + 1] = cur
+        r = euler_bes3_block(grid, cfg.seed, lo, hi)
 
     tails = np.empty(nb)
     bridge_u = np.empty((nb, n))
@@ -757,11 +728,7 @@ def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
 
     funcs = [
         TestFunctional("1", lambda ctx, si: np.ones(ctx.W.shape[0])),
-        TestFunctional(
-            "min(I,2)/2",
-            lambda ctx, si: np.minimum(ctx.I[:, si], 2.0) / 2.0,
-            "enlarged",
-        ),
+        TestFunctional("min(I,2)/2", lambda ctx, si: np.minimum(ctx.I[:, si], 2.0) / 2.0),
     ]
     level_accs: dict = {t: MomentAccumulator() for t in [0.0] + level_ts}
 
@@ -883,7 +850,7 @@ def run_glue_demo(cfg: ScenarioConfig) -> ScenarioResult:
         worst <= 1e-12,
     )
     report = martingale_suite({}, cfg.threshold, "bonferroni")
-    return ScenarioResult("glue-demo", report, (entry,), {"cases": n_cases})
+    return ScenarioResult("glue-demo", report, (entry,))
 
 
 def run_elemint_check(cfg: ScenarioConfig) -> ScenarioResult:
@@ -907,7 +874,7 @@ def run_elemint_check(cfg: ScenarioConfig) -> ScenarioResult:
         worst <= 1e-12,
     )
     report = martingale_suite({}, cfg.threshold, "bonferroni")
-    return ScenarioResult("elemint-check", report, (entry,), {"cases": n_cases})
+    return ScenarioResult("elemint-check", report, (entry,))
 
 
 def _random_step_function(rng: np.random.Generator, a: float, b: float):

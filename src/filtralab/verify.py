@@ -38,15 +38,13 @@ class TestFunctional:
 
     ``evaluate(ctx, s_index)`` returns one value in [-1, 1] per path;
     ``ctx`` carries whatever per-path arrays the scenario exposes (paths,
-    supremum, infimum, random times).  ``info_class`` records whether the
-    functional reads base-filtration data only or enlarged data too.
+    supremum, infimum, random times).
     """
 
     __test__ = False  # not a pytest class despite the name
 
     id: str
     evaluate: Callable = field(repr=False)
-    info_class: str = "base-filtration"
 
     def values(self, ctx, s_index: int) -> np.ndarray:
         v = np.asarray(self.evaluate(ctx, s_index), dtype=float)

@@ -14,8 +14,7 @@ import pytest
 
 from filtralab import elemint as ei
 from filtralab.gluing import boundary_half_local_time, glue, reconstruction_residual
-from filtralab.grids import TimeGrid
-from filtralab.paths import future_infimum, reciprocal_scale, simulate_bes3
+from filtralab.paths import reciprocal_scale
 from filtralab.scenarios import (
     ScenarioConfig,
     emery_conditional_law_rows,
@@ -24,7 +23,7 @@ from filtralab.scenarios import (
     run_scenario,
 )
 from filtralab.drifts import emery_after_rate
-from filtralab.scenarios import _emery_block
+from filtralab.scenarios import _emery_block, _pitman_block
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -206,15 +205,18 @@ def test_criterion_4_future_inf_local_time_bridge():
     """Glued boundary compensator reproduces the infimum transform, 10%."""
     t0 = time.time()
     dt, n_paths, seed = 1e-4, 100, 42
-    grid = TimeGrid(0.0, dt, round(1.0 / dt))
+    cfg = ScenarioConfig(scenario="pitman", dt=dt, seed=seed)
+    grid = cfg.grid()
     scale = reciprocal_scale()
-    ens = simulate_bes3(grid, 1.0, n_paths, seed=seed)
+    ctx = _pitman_block(cfg, grid, 0, n_paths)
+    # the plain grid future infimum: backward minimum completed by the exact tail
+    back = np.minimum.accumulate(ctx.W[:, ::-1], axis=1)[:, ::-1]
+    inf_plain = np.minimum(back, ctx.I[:, -1:])
     rels = []
     glue_ok = True
     for i in range(n_paths):
-        path = ens.path(i)
-        inf_plain = future_infimum(path, scale, seed=seed, stream_id=i)
-        system = future_inf_piece_system(path.values, inf_plain.values, grid, scale)
+        path, inf_fine = ctx.W[i], ctx.I[i]
+        system = future_inf_piece_system(path, inf_plain[i], grid, scale)
         dec = glue(
             system, [dt], jump_mask=np.zeros(grid.n, dtype=bool), strict=False
         )
@@ -222,13 +224,10 @@ def test_criterion_4_future_inf_local_time_bridge():
         # V+ = half the boundary local time (its ladder form is resolution
         # limited on sampled-continuous data; the reflected-bridge estimator
         # on the refined drawdown is the consistent instrument)
-        inf_fine = future_infimum(
-            path, scale, seed=seed, stream_id=i, refine="bridge-min"
-        )
-        gap = path.values - inf_fine.values
-        weight = 1.0 / inf_fine.values[:-1] ** 2
+        gap = path - inf_fine
+        weight = 1.0 / inf_fine[:-1] ** 2
         v_plus = boundary_half_local_time(gap, weight, dt)
-        target = scale.e(inf_fine.values[-1]) - scale.e(inf_fine.values[0])
+        target = scale.e(inf_fine[-1]) - scale.e(inf_fine[0])
         rels.append(abs(v_plus - target) / max(target, 0.05))
     mean_rel = float(np.mean(rels))
     elapsed = time.time() - t0

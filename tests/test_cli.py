@@ -152,26 +152,66 @@ class TestExitCodes:
             "horizon = 2",
             "delta = 1",
             "delta = 2",
+            "delta = 0.995",
+            "scenario = emery-after, delta = 0.9",
+            "scenario = emery-after, delta = 0.895",
+            "scenario = honest, delta = 0.9",
         ],
     )
     def test_invalid_config_file_exit_two(self, tmp_path, capsys, line):
+        # ", " separates the lines a case adds to the bridge base config
         from filtralab.cli import main
 
         p = tmp_path / "run.cfg"
-        p.write_text("scenario = bridge\nn-paths = 200\ndt = 0.01\nseed = 1\n" + line + "\n")
+        p.write_text(
+            "scenario = bridge\nn-paths = 200\ndt = 0.01\nseed = 1\n"
+            + line.replace(", ", "\n") + "\n"
+        )
         assert main(["--config", str(p), "--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
 
-    def test_degeneracy_exit_three(self, tmp_path):
-        # euler-sde with a coarse step drives some path nonpositive
+    def test_degeneracy_exit_three(self, capsys, monkeypatch):
+        # path 0's first euler-sde step 1 + 0.25/1 + 0.5 * (-2.5) lands exactly
+        # on 0, and reflection cannot lift it
+        from filtralab import paths
+
+        real = paths.substream
+
+        def substream(seed, purpose, i=0):
+            gen = real(seed, purpose, i)
+            if purpose != "bes3" or i != 0:
+                return gen
+
+            class FirstNormal:
+                def standard_normal(self, n):
+                    z = gen.standard_normal(n)
+                    z[0] = -2.5
+                    return z
+
+            return FirstNormal()
+
+        monkeypatch.setattr(paths, "substream", substream)
+        # horizon 2.5 keeps pitman's level times h*k/10 on the grid
         cfg = ScenarioConfig(
-            scenario="pitman", horizon=1.0, dt=0.1, n_paths=5000, seed=3,
-            delta=0.1, bes_method="euler-sde",
+            scenario="pitman", horizon=2.5, dt=0.25, n_paths=100, seed=3, delta=0.25,
+            bes_method="euler-sde",
         )
         assert run(cfg) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("filtralab: numerical degeneracy: ") and err.count("\n") == 1
+
+    def test_euler_sde_reflects_instead_of_failing(self, tmp_path):
+        # the reflecting integrator runs the config that once stopped at path 1032
+        out = tmp_path / "r.csv"
+        cfg = ScenarioConfig(
+            scenario="pitman", dt=1e-3, n_paths=2000, seed=1,
+            bes_method="euler-sde", out_path=str(out),
+        )
+        assert run(cfg) in (0, 1)
+        assert out.read_text().count("\n") == 30
 
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filtralab.errors import ConfigurationError, DataError
-from filtralab.grids import GridPath, PathEnsemble, TimeGrid
+from filtralab.grids import GridPath, TimeGrid
 
 
 class TestTimeGrid:
@@ -50,17 +50,3 @@ class TestGridPath:
         p = GridPath(g, np.array([1.0, 2.0, 3.0]))
         assert p.value_at(0.3) == 1.0
         assert p.value_at(0.5) == 2.0
-
-
-class TestPathEnsemble:
-    def test_shape_and_views(self):
-        g = TimeGrid(0.0, 0.5, 2)
-        ens = PathEnsemble(g, np.arange(6.0).reshape(2, 3), seed=1, stream_ids=(0, 1))
-        assert ens.n_paths == 2
-        assert np.array_equal(ens.path(1).values, [3.0, 4.0, 5.0])
-        assert len(list(ens)) == 2
-
-    def test_stream_id_count_checked(self):
-        g = TimeGrid(0.0, 0.5, 2)
-        with pytest.raises(DataError):
-            PathEnsemble(g, np.zeros((2, 3)), seed=1, stream_ids=(0,))

@@ -1,7 +1,8 @@
 """Simulation, conditioning data, and the RNG determinism contract.
 
 The Brownian, supremum, last-passage and Pitman block kernels live in
-``filtralab.scenarios``; the per-path reference operations in ``paths``.
+``filtralab.scenarios``; the Euler Bessel(3) kernel, bridge extrema and the
+level crossing in ``paths``.
 """
 
 import math
@@ -64,23 +65,36 @@ class TestSimulateBes3:
         assert np.allclose(r, 1.3)
 
     def test_pitman_strictly_positive(self):
-        grid = TimeGrid(0.0, 1e-3, 1000)
-        ens = P.simulate_bes3(grid, 1.0, 200, seed=9)
-        assert np.min(ens.matrix) > 0.0
-        assert np.all(ens.matrix[:, 0] == 1.0)
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-3, seed=9)
+        r = sc._pitman_block(cfg, cfg.grid(), 0, 200).W
+        assert np.min(r) > 0.0
+        assert np.all(r[:, 0] == 1.0)
 
     def test_cross_method_mean_agreement(self):
-        grid = TimeGrid(0.0, 1e-3, 1000)
-        a = P.simulate_bes3(grid, 1.0, 20_000, seed=21, method="pitman-construction")
-        b = P.simulate_bes3(grid, 1.0, 20_000, seed=22, method="euler-sde")
-        for t_idx in (200, 400, 600, 800, 1000):
-            ma, mb = a.matrix[:, t_idx], b.matrix[:, t_idx]
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-3, seed=21)
+        grid = cfg.grid()
+        cols = [200, 400, 600, 800, 1000]
+        los = range(0, 20_000, 5000)
+        a = np.concatenate([sc._pitman_block(cfg, grid, lo, lo + 5000).W[:, cols] for lo in los])
+        b = np.concatenate([P.euler_bes3_block(grid, 22, lo, lo + 5000)[:, cols] for lo in los])
+        for ma, mb in zip(a.T, b.T):
             se = math.sqrt(ma.var(ddof=1) / len(ma) + mb.var(ddof=1) / len(mb))
             assert abs(ma.mean() - mb.mean()) <= 3.0 * se
 
-    def test_invalid_r0(self):
-        with pytest.raises(DomainError):
-            P.simulate_bes3(TimeGrid(0.0, 0.1, 10), 0.0, 1, seed=1)
+    def test_euler_block_matches_reflecting_loop(self):
+        # per-path scalar oracle on a coarse grid, where reflections occur
+        grid = TimeGrid(0.0, 0.1, 10)
+        block = P.euler_bes3_block(grid, 5, 3, 203)
+        reflected = 0
+        for i in range(3, 203):
+            z = substream(5, "bes3", i).standard_normal(grid.n)
+            r = [1.0]
+            for k in range(grid.n):
+                nxt = r[-1] + grid.dt / r[-1] + math.sqrt(grid.dt) * z[k]
+                reflected += nxt < 0.0
+                r.append(-nxt if nxt <= 0.0 else nxt)
+            assert np.array_equal(block[i - 3], r)
+        assert reflected > 0
 
 
 def _supremum_ctx(n_paths=5, seed=19, dt=1e-2):
@@ -115,20 +129,41 @@ class TestRunningSupremum:
         assert np.all(ctx.U >= np.maximum.accumulate(ctx.W, axis=1))
 
 
+def _pitman_ctx(n_paths, seed, dt, horizon=1.0):
+    cfg = sc.ScenarioConfig(scenario="pitman", horizon=horizon, dt=dt, seed=seed)
+    return sc._pitman_block(cfg, cfg.grid(), 0, n_paths)
+
+
+def _plain_future_inf(ctx):
+    """Backward grid minimum of R completed by the block's exact tail."""
+    back = np.minimum.accumulate(ctx.W[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(back, ctx.I[:, -1:])
+
+
 class TestFutureInfimum:
-    def test_backward_minimum_with_tail(self):
-        grid = TimeGrid(0.0, 0.5, 2)
-        p = GridPath(grid, np.array([3.0, 2.0, 5.0]))
+    """The Pitman block's future infimum: bridge minima of every step and
+    one exact post-horizon tail, drawn from each path's own streams."""
 
+    def test_backward_minimum_with_tail(self, monkeypatch):
+        # path [3, 2, 5] with tail 4; unit bridge uniforms make every step
+        # minimum the lower endpoint, so the hand values are the plain ones
         class FixedTail:
-            e = staticmethod(lambda z: -1.0 / z)
-            e_inverse = staticmethod(lambda y: -1.0 / y)
-
             def tail_sample(self, z, u):
                 return 4.0
 
-        out = P.future_infimum(p, FixedTail(), seed=1)
-        assert np.array_equal(out.values, [2.0, 2.0, 4.0])
+        class Zeros:
+            def uniform(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+            def standard_normal(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(sc, "pitman_from_draws", lambda *a: np.array([3.0, 2.0, 5.0]))
+        monkeypatch.setattr(sc, "reciprocal_scale", FixedTail)
+        monkeypatch.setattr(sc, "substream", lambda *a: Zeros())
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=0.5, seed=1)
+        ctx = sc._pitman_block(cfg, TimeGrid(0.0, 0.5, 2), 0, 1)
+        assert np.array_equal(ctx.I[0], [2.0, 2.0, 4.0])
 
     def test_tail_law_uniform_ks(self):
         # for e(z) = -1/z the tail given terminal r is uniform on (0, r)
@@ -142,34 +177,38 @@ class TestFutureInfimum:
         assert stat < 1.63 / math.sqrt(100_000)
 
     def test_invariants_against_plain_minimum(self):
-        grid = TimeGrid(0.0, 1e-2, 200)
-        ens = P.simulate_bes3(grid, 1.0, 20, seed=4)
+        ctx = _pitman_ctx(20, seed=4, dt=1e-2, horizon=2.0)
         scale = P.reciprocal_scale()
+        n, dt = ctx.grid.n, ctx.grid.dt
+        plain = _plain_future_inf(ctx)
         for i in range(20):
-            p = ens.path(i)
-            out = P.future_infimum(p, scale, seed=4, stream_id=i)
-            assert np.all(np.diff(out.values) >= 0.0)
-            assert np.all(out.values <= p.values + 1e-15)
-            back = np.minimum.accumulate(p.values[::-1])[::-1]
+            r = ctx.W[i]
+            # direct definition over the path's own tail and bridge draws
+            u_tail = 1.0 - float(substream(4, "inf_tail", i).uniform())
+            last = min(r[-1], scale.tail_sample(float(r[-1]), u_tail))
+            u = 1.0 - substream(4, "bridge_min", i).uniform(size=n)
+            step_min = P._bridge_min(r[:-1], r[1:], dt, u)
+            for k in range(n + 1):
+                assert ctx.I[i, k] == min([last] + list(step_min[k:]))
+            out = plain[i]
+            assert np.all(np.diff(out) >= 0.0)
+            assert np.all(out <= r + 1e-15)
+            back = np.minimum.accumulate(r[::-1])[::-1]
             # wherever the tail exceeds the path minimum, plain backward min rules
-            if out.values[0] != back[0]:
-                assert out.values[0] < back[0]  # tail was binding
+            if out[0] != back[0]:
+                assert out[0] < back[0]  # tail was binding
 
     def test_positive_path_required(self):
-        p = GridPath(GRID3, np.array([1.0, -0.1, 1.0, 1.0]))
-        with pytest.raises(DomainError):
-            P.future_infimum(p, P.reciprocal_scale(), seed=1)
+        # the exact tail completing the future infimum needs a positive terminal value
+        for z in (-0.1, 0.0):
+            with pytest.raises(DomainError):
+                P.reciprocal_scale().tail_sample(z, 0.5)
 
     def test_bridge_min_refinement_below_plain(self):
-        grid = TimeGrid(0.0, 1e-2, 100)
-        ens = P.simulate_bes3(grid, 1.0, 10, seed=8)
-        scale = P.reciprocal_scale()
-        for i in range(10):
-            p = ens.path(i)
-            plain = P.future_infimum(p, scale, seed=8, stream_id=i)
-            fine = P.future_infimum(p, scale, seed=8, stream_id=i, refine="bridge-min")
-            assert np.all(fine.values <= plain.values + 1e-15)
-            assert np.all(np.diff(fine.values) >= 0.0)
+        ctx = _pitman_ctx(10, seed=8, dt=1e-2)
+        plain = _plain_future_inf(ctx)
+        assert np.all(ctx.I <= plain + 1e-15)
+        assert np.all(np.diff(ctx.I, axis=1) >= 0.0)
 
 
 class TestScaleFunction:

@@ -139,18 +139,20 @@ class TestCandidateConsistency:
 
 class TestFutureInfPieceSystem:
     def test_support_and_interval_structure(self):
-        from filtralab.paths import future_infimum, reciprocal_scale, simulate_bes3
+        from filtralab.paths import reciprocal_scale
 
-        grid = TimeGrid(0.0, 1e-3, 1000)
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-3, seed=10)
+        grid = cfg.grid()
         scale = reciprocal_scale()
-        ens = simulate_bes3(grid, 1.0, 3, seed=10)
-        for i in range(3):
-            path = ens.path(i)
-            inf_p = future_infimum(path, scale, seed=10, stream_id=i)
-            system = sc.future_inf_piece_system(path.values, inf_p.values, grid, scale)
+        ctx = sc._pitman_block(cfg, grid, 0, 3)
+        # the plain grid future infimum: backward minimum completed by the tail
+        back = np.minimum.accumulate(ctx.W[:, ::-1], axis=1)[:, ::-1]
+        inf_plain = np.minimum(back, ctx.I[:, -1:])
+        for r, inf_p in zip(ctx.W, inf_plain):
+            system = sc.future_inf_piece_system(r, inf_p, grid, scale)
             covered = system.covered_mask()
             # covered exactly where the path sits strictly above its future inf
-            assert np.array_equal(covered, path.values > inf_p.values)
+            assert np.array_equal(covered, r > inf_p)
             # target and reference differ only on the covered set
             d = np.abs(system.S.values - system.S_check.values)
             assert np.all(d[~covered] == 0.0)
