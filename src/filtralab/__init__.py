@@ -2,7 +2,7 @@
 
 Submodules: ``elemint`` (deterministic elementary-integral calculus),
 ``gluing`` (local-to-global semimartingale decomposition), ``paths``
-(Bessel(3) simulation, bridge extrema and level crossings), ``drifts``
+(Bessel(3) simulation and bridge extrema), ``drifts``
 (closed-form drift ingredients), ``verify`` (Monte Carlo martingale
 certification), ``scenarios``/``cli`` (block kernels and experiment runner).
 """

@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+import typing
 
 from .errors import ConfigurationError, FiltralabError, NumericalDegeneracyError
-from .scenarios import ScenarioConfig, ScenarioResult, run_scenario
+from .scenarios import SCENARIOS, ScenarioConfig, ScenarioResult, run_scenario
 
 __all__ = ["main", "run", "emit_report", "build_config"]
 
@@ -88,19 +88,39 @@ def emit_report(result: ScenarioResult, fmt: str, path: str) -> None:
         fh.write(text)
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _coerce(name: str, raw):
-    kinds = {f.name: f.type for f in fields(ScenarioConfig)}
-    if name not in kinds:
+    """``raw`` as the type of ScenarioConfig field ``name``; other values are refused.
+
+    Strings are parsed; JSON numbers must fit the field (no booleans, and
+    integral values for integer fields); null, lists and objects never do.
+    """
+    kind = typing.get_type_hints(ScenarioConfig).get(name)
+    if kind is None:
         raise ConfigurationError(f"unknown config key {name!r}")
-    if name in ("n_paths", "seed", "block_size"):
-        return int(raw)
-    if name in ("horizon", "dt", "delta", "threshold"):
-        return float(raw)
-    if name == "no_correction":
+    if kind is bool:
         if isinstance(raw, bool):
             return raw
-        return str(raw).lower() in ("1", "true", "yes", "on")
-    return raw
+        if isinstance(raw, (str, int)) and str(raw).lower() in _BOOL_WORDS:
+            return _BOOL_WORDS[str(raw).lower()]
+    elif kind not in (int, float):
+        if isinstance(raw, str):
+            return raw
+    elif isinstance(raw, (str, int, float)) and not isinstance(raw, bool):
+        try:
+            value = kind(raw)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(raw, str) or kind is float or value == raw:
+                return value
+    label = {bool: "a boolean", int: "an integer", float: "a number"}.get(kind, "a string")
+    raise ConfigurationError(f"config key {name!r} needs {label}, got {raw!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -128,7 +148,7 @@ def build_config(argv) -> ScenarioConfig:
         prog="filtralab",
         description="Run one enlargement-of-filtration experiment and emit a report.",
     )
-    parser.add_argument("--scenario", help="one of: " + ", ".join(sorted(_scenario_names())))
+    parser.add_argument("--scenario", help="one of: " + ", ".join(sorted(SCENARIOS)))
     parser.add_argument("--horizon", type=float)
     parser.add_argument("--dt", type=float)
     parser.add_argument("--n-paths", type=int, dest="n_paths")
@@ -148,33 +168,14 @@ def build_config(argv) -> ScenarioConfig:
     if ns.config_file:
         for k, v in _load_config_file(ns.config_file).items():
             settings[k] = _coerce(k, v)
-    for key in (
-        "scenario",
-        "horizon",
-        "dt",
-        "n_paths",
-        "seed",
-        "delta",
-        "threshold",
-        "out_path",
-        "format",
-    ):
-        val = getattr(ns, key)
-        if val is not None:
+    for key, val in vars(ns).items():
+        if val is not None and key != "config_file":
             settings[key] = val
-    if ns.no_correction is not None:
-        settings["no_correction"] = True
     if "seed" not in settings and os.environ.get("FILTRALAB_SEED"):
         settings["seed"] = int(os.environ["FILTRALAB_SEED"])
     if "scenario" not in settings:
         raise ConfigurationError("--scenario (or a config file naming one) is required")
     return ScenarioConfig(**settings).validated()
-
-
-def _scenario_names():
-    from .scenarios import SCENARIOS
-
-    return SCENARIOS.keys()
 
 
 def run(config: ScenarioConfig) -> int:

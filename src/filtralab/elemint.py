@@ -14,6 +14,7 @@ An unbounded right endpoint is represented by ``math.inf`` and the interval
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,26 +79,23 @@ class LeftStepFunction:
         return LeftStepFunction(self.breakpoints, tuple(alpha * d for d in self.levels))
 
 
-def _merge_partitions(xs: Sequence[float], ys: Sequence[float]) -> tuple:
-    return tuple(sorted(set(xs) | set(ys)))
+def _combine_steps(g: LeftStepFunction, h: LeftStepFunction, op) -> LeftStepFunction:
+    """Pointwise op(g, h) on a common refinement (domains must agree)."""
+    if (g.a, g.b) != (h.a, h.b):
+        raise DomainError("step functions must share a domain")
+    pts = tuple(sorted(set(g.breakpoints) | set(h.breakpoints)))
+    levels = tuple(op(g(pts[i + 1]), h(pts[i + 1])) for i in range(len(pts) - 1))
+    return LeftStepFunction(pts, levels)
 
 
 def add_steps(g: LeftStepFunction, h: LeftStepFunction) -> LeftStepFunction:
     """Pointwise sum on a common refinement (domains must agree)."""
-    if (g.a, g.b) != (h.a, h.b):
-        raise DomainError("step functions must share a domain")
-    pts = _merge_partitions(g.breakpoints, h.breakpoints)
-    levels = tuple(g(pts[i + 1]) + h(pts[i + 1]) for i in range(len(pts) - 1))
-    return LeftStepFunction(pts, levels)
+    return _combine_steps(g, h, operator.add)
 
 
 def mul_steps(g: LeftStepFunction, h: LeftStepFunction) -> LeftStepFunction:
     """Pointwise product on a common refinement (domains must agree)."""
-    if (g.a, g.b) != (h.a, h.b):
-        raise DomainError("step functions must share a domain")
-    pts = _merge_partitions(g.breakpoints, h.breakpoints)
-    levels = tuple(g(pts[i + 1]) * h(pts[i + 1]) for i in range(len(pts) - 1))
-    return LeftStepFunction(pts, levels)
+    return _combine_steps(g, h, operator.mul)
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class CadlagFunction:
 
     ``fn`` evaluates the function itself (jumps included); ``jumps`` lists
     the locations and sizes of every discontinuity, which is what makes
-    left limits and the equality oracle computable.  Evaluation at t <= a
+    ``jump_at`` and the equality oracle computable.  Evaluation at t <= a
     is permitted and returns the left-endpoint convention value fn(t); the
     ``stop`` operation relies on this edge.
     """
@@ -124,9 +122,6 @@ class CadlagFunction:
             if loc == t:
                 return size
         return 0.0
-
-    def left_limit(self, t: float) -> float:
-        return self(t) - self.jump_at(t)
 
     @classmethod
     def from_grid_path(cls, path: GridPath) -> "CadlagFunction":

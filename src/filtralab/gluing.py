@@ -4,8 +4,9 @@ A ``PieceSystem`` carries a target path S, a reference path S_check that S
 agrees with outside the pieces, and a family of random left intervals
 (T_i, U_i] with per-piece drifts.  ``glue`` constructs, on the grid: the
 predictable set A and its thin complement C, the epsilon ladders
-(R_n, d_{R_n}] that exhaust A, the merged drift, the jump-compensation sum,
-the boundary compensators V+ and V-, and the zero-level residual.
+(R_n, d_{R_n}] that exhaust A, the merged drift, the boundary compensators
+V+ and V-, and the zero-level residual.  ``jump_compensation`` gives the
+crossing-overshoot sum over A on its own.
 
 Grid conventions (all exact, no limits are approximated):
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .errors import DataError, InternalConsistencyError
-from .grids import GridPath, TimeGrid
+from .grids import GridPath, TimeGrid, cumulative
 
 __all__ = [
     "Piece",
@@ -105,9 +106,7 @@ class PieceSystem:
         pieces = []
         for lo, hi in intervals:
             mask = (times[1:] > lo) & (times[1:] <= hi)
-            chi = np.empty(S.grid.n + 1)
-            chi[0] = 0.0
-            np.cumsum(np.where(mask, inc, 0.0), out=chi[1:])
+            chi = cumulative(np.where(mask, inc, 0.0))
             pieces.append(Piece(float(lo), float(hi), GridPath(S.grid, chi)))
         return cls(S, S_check, tuple(pieces))
 
@@ -143,7 +142,6 @@ class GluedDecomposition:
     V_plus: GridPath
     V_minus: GridPath
     l_union: GridPath
-    A_jump_sum: GridPath
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,13 @@ def assemble_chi_union(system: PieceSystem, tol: float = 1e-12) -> GridPath:
                 )
         merged[mask & ~have] = inc[mask & ~have]
         have |= mask
-    out = np.empty(grid.n + 1)
-    out[0] = 0.0
-    np.cumsum(merged, out=out[1:])
-    return GridPath(grid, out)
+    return GridPath(grid, cumulative(merged))
+
+
+def _crossing_overshoot(d: np.ndarray) -> np.ndarray:
+    """Per step of d: d^- after a start above 0, d^+ after one at or below 0."""
+    left, right = d[:-1], d[1:]
+    return np.where(left > 0.0, np.maximum(-right, 0.0), np.maximum(right, 0.0))
 
 
 def jump_compensation(system: PieceSystem, a_mask: np.ndarray) -> GridPath:
@@ -287,21 +288,7 @@ def jump_compensation(system: PieceSystem, a_mask: np.ndarray) -> GridPath:
     overshoot of a sign crossing; steps without a crossing contribute 0.
     """
     d = system.S.values - system.S_check.values
-    left, right = d[:-1], d[1:]
-    overshoot = np.where(left > 0.0, np.maximum(-right, 0.0), np.maximum(right, 0.0))
-    overshoot = overshoot * a_mask[1:]
-    out = np.empty(len(d))
-    out[0] = 0.0
-    np.cumsum(overshoot, out=out[1:])
-    return GridPath(system.grid, out)
-
-
-def _interval_integral(a_mask: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Cumulative 1_A . X for an index-set A, as sums of stopped differences."""
-    out = np.empty(len(a_mask))
-    out[0] = 0.0
-    np.cumsum(increments * a_mask[1:], out=out[1:])
-    return out
+    return GridPath(system.grid, cumulative(_crossing_overshoot(d) * a_mask[1:]))
 
 
 def glue(
@@ -356,8 +343,8 @@ def glue(
             f"compensator decreases at grid step {k + 1}; "
             "S - S_check is nonzero outside the pieces (Assumption violated)"
         )
-    v_plus = np.concatenate(([0.0], np.cumsum(v_plus_inc)))
-    v_minus = np.concatenate(([0.0], np.cumsum(v_minus_inc)))
+    v_plus = cumulative(v_plus_inc)
+    v_minus = cumulative(v_minus_inc)
 
     # Zero-level residual of the Tanaka split of 1_A . (S - S_check)^+.
     if jump_mask is None:
@@ -366,11 +353,8 @@ def glue(
         jump_mask = np.asarray(jump_mask, dtype=bool)
         if len(jump_mask) != n:
             raise DataError("jump_mask needs one entry per grid step")
-    left = d[:-1]
-    pos = left > 0.0
-    declared_overshoot = (
-        np.where(pos, np.maximum(-d[1:], 0.0), np.maximum(d[1:], 0.0)) * jump_mask
-    )
+    pos = d[:-1] > 0.0
+    declared_overshoot = _crossing_overshoot(d) * jump_mask
     res_plus = (inc_p - np.where(pos, inc_d, 0.0) - declared_overshoot) * a_mask[1:]
     res_minus = (inc_m + np.where(~pos, inc_d, 0.0) - declared_overshoot) * a_mask[1:]
     if np.max(np.abs(res_plus - res_minus), initial=0.0) > 1e-12 * max(
@@ -379,9 +363,7 @@ def glue(
         raise InternalConsistencyError(
             "positive- and negative-part residuals disagree"
         )
-    l_union = np.concatenate(([0.0], 2.0 * np.cumsum(res_plus)))
-
-    a_jump = jump_compensation(system, a_mask)
+    l_union = 2.0 * cumulative(res_plus)
 
     return GluedDecomposition(
         A_mask=a_mask,
@@ -392,7 +374,6 @@ def glue(
         V_plus=GridPath(grid, v_plus),
         V_minus=GridPath(grid, v_minus),
         l_union=GridPath(grid, l_union),
-        A_jump_sum=a_jump,
     )
 
 
@@ -433,7 +414,7 @@ def boundary_half_local_time(
 def reconstruction_residual(system: PieceSystem, dec: GluedDecomposition) -> np.ndarray:
     """Pointwise error of the reconstruction identity (0 when the glue is exact)."""
     d = system.S.values - system.S_check.values
-    one_a_d = _interval_integral(dec.A_mask, np.diff(d))
+    one_a_d = cumulative(np.diff(d) * dec.A_mask[1:])
     recon = (
         system.S.values[0]
         + one_a_d

@@ -2,7 +2,8 @@
 
 Every simulated process and every integral in the package lives on a
 ``TimeGrid``.  A ``GridPath`` holds one sample path; blocks of paths are
-plain paths-by-points matrices on one grid.
+plain paths-by-points matrices on one grid, and ``cumulative`` turns per-step
+increments into the running sums that every integral on a grid is.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 
-__all__ = ["TimeGrid", "GridPath"]
+__all__ = ["TimeGrid", "GridPath", "cumulative"]
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,10 @@ class GridPath:
     def times(self) -> np.ndarray:
         return self.grid.times()
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-    def value_at(self, t: float) -> float:
-        """Step-convention evaluation: value at the last grid point <= t."""
-        return float(self.values[self.grid.floor_index(t)])
+def cumulative(increments: np.ndarray) -> np.ndarray:
+    """Running sums of per-step increments along the last axis, starting from 0."""
+    out = np.empty(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    return out

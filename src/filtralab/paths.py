@@ -1,10 +1,10 @@
-"""Bessel(3) simulation, bridge extrema and the interpolated level crossing.
+"""Bessel(3) simulation and bridge extrema.
 
 The scenarios' block kernels simulate and condition whole blocks of paths;
 this module holds what they share: exact Brownian-bridge extremum draws,
 the Pitman construction of a Bessel(3) path, the reflecting Euler block
-kernel of the Bessel(3) SDE, the scale function whose inverse completes the
-future infimum past the horizon, and the interpolated last level crossing.
+kernel of the Bessel(3) SDE, and the scale function whose inverse completes
+the future infimum past the horizon.
 
 Simulation is deterministic per (seed, path index) through counter-based
 substreams, so results do not depend on evaluation order across paths.
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalDegeneracyError
-from .grids import GridPath, TimeGrid
+from .grids import TimeGrid
 from .rng import substream
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "reciprocal_scale",
     "pitman_from_draws",
     "euler_bes3_block",
-    "last_level_crossing",
 ]
 
 
@@ -126,24 +125,3 @@ def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
                 f"at step {k + 1}"
             )
     return np.ascontiguousarray(out.T)
-
-
-def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:
-    """Linearly interpolated time of the last sign change of (path - level).
-
-    Returns 0 when no crossing exists on the grid; callers that need a
-    crossing almost surely must check their own nondegeneracy condition.
-    """
-    times = path.times()
-    stop_idx = path.grid.floor_index(horizon)
-    f = path.values[: stop_idx + 1] - level
-    for k in range(stop_idx, 0, -1):
-        a, b = f[k - 1], f[k]
-        if b == 0.0:
-            return float(times[k])
-        if a == 0.0:
-            # crossing exactly at the earlier grid point, unless a later one exists
-            return float(times[k - 1])
-        if (a > 0) != (b > 0):
-            return float(times[k - 1] + (times[k] - times[k - 1]) * (-a) / (b - a))
-    return 0.0

@@ -24,7 +24,6 @@ PURPOSE = {
     "inf_tail": 2,
     "bridge_min": 3,
     "sup_tail": 4,
-    "generic": 5,
 }
 
 

@@ -22,15 +22,13 @@ from scipy.special import erfc
 
 from .drifts import (
     emery_after_rate,
-    h_func,
     h_func_prime,
     supremum_instance_rate,
 )
 from .errors import ConfigurationError
-from .grids import GridPath, TimeGrid
-from .gluing import PieceSystem, _mask_runs, glue, reconstruction_residual
+from .grids import GridPath, TimeGrid, cumulative
+from .gluing import PieceSystem, glue, reconstruction_residual
 from .paths import (
-    ScaleFunction,
     _bridge_min,
     euler_bes3_block,
     pitman_from_draws,
@@ -227,14 +225,6 @@ def _exact_last_passage(
     return np.where(any_row, out, 0.0)
 
 
-def _cumulative(inc: np.ndarray) -> np.ndarray:
-    """Per-path running sums of per-step increments, starting from 0."""
-    out = np.empty((inc.shape[0], inc.shape[1] + 1))
-    out[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=out[:, 1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # functional catalog and the block loop
 # ---------------------------------------------------------------------------
@@ -254,6 +244,16 @@ def _base_functionals() -> list:
     return [_f_const(), _f_sign_level(-0.5), _f_sign_level(0.0), _f_sign_level(0.5)]
 
 
+def _checkpoint_index(cfg: ScenarioConfig, grid: TimeGrid, t: float) -> int:
+    try:
+        return grid.index_of(t)
+    except ConfigurationError:
+        raise ConfigurationError(
+            f"{cfg.scenario} checkpoint t = {t:g} is not a multiple of dt = {cfg.dt:g}; "
+            "dt must divide every checkpoint time of the scenario"
+        ) from None
+
+
 def _suite_from_blocks(
     cfg: ScenarioConfig, make_block, legs, block_hook=None
 ) -> MartingaleTestReport:
@@ -270,7 +270,8 @@ def _suite_from_blocks(
     accs: dict = defaultdict(MomentAccumulator)
     legs = [
         (prefix, candidate, factory,
-         [(s, t, grid.index_of(s), grid.index_of(t)) for s, t in checkpoints])
+         [(s, t, _checkpoint_index(cfg, grid, s), _checkpoint_index(cfg, grid, t))
+          for s, t in checkpoints])
         for prefix, candidate, factory, checkpoints in legs
     ]
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
@@ -283,7 +284,7 @@ def _suite_from_blocks(
                     accs[(s, t, prefix + f.id)].add(inc * f.values(ctx, si))
         if block_hook is not None:
             block_hook(ctx)
-    return martingale_suite(accs, cfg.threshold, "bonferroni")
+    return martingale_suite(accs, cfg.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def _bridge_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     t_left = ctx.times[:-1]
     window = ctx.times[1:] <= 1.0 - cfg.delta + 1e-12
     rate = (ctx.W1[:, None] - ctx.W[:, :-1]) / (1.0 - t_left)[None, :]
-    return ctx.W - _cumulative(rate * (cfg.dt * window)[None, :])
+    return ctx.W - cumulative(rate * (cfg.dt * window)[None, :])
 
 
 def run_bridge(cfg: ScenarioConfig) -> ScenarioResult:
@@ -372,12 +373,12 @@ def _supremum_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     (U = W) contribute 0, as the instance's own increments do there.
     """
     gap = ctx.U[:, :-1] - ctx.W[:, :-1]
-    m = _cumulative(gap * np.diff(ctx.W, axis=1))
+    m = cumulative(gap * np.diff(ctx.W, axis=1))
     if cfg.no_correction:
         return m
     tau = ctx.Ttimes[:, :-1] - ctx.times[:-1][None, :]
     rate = np.where(gap > 0.0, supremum_instance_rate(gap, tau), 0.0)
-    return m - _cumulative(rate * cfg.dt)
+    return m - cumulative(rate * cfg.dt)
 
 
 def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
@@ -440,7 +441,7 @@ def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
     dndw, z = rate_parts(ctx)
     rate = dndw / np.maximum(z, 1e-300)  # Z and dNdW underflow together
     dt_eff = np.clip(tau[:, None] - t[:-1][None, :], 0.0, cfg.dt)
-    return stopped - _cumulative(rate * dt_eff)
+    return stopped - cumulative(rate * dt_eff)
 
 
 def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
@@ -463,7 +464,7 @@ def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     inc = np.diff(ctx.W, axis=1)
     if not cfg.no_correction:
         inc -= rate(active) * cfg.dt
-    return _cumulative(phi * inc)
+    return cumulative(phi * inc)
 
 
 # ---------------------------------------------------------------------------
@@ -562,37 +563,6 @@ def run_emery_after(cfg: ScenarioConfig) -> ScenarioResult:
           lambda s, t: _emery_after_functionals(cfg, s), checkpoints)],
     )
     return ScenarioResult("emery-after", report)
-
-
-def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: int = 20):
-    """Binned empirical P[t < xi | y in bin] against 1 - h(y) at one time.
-
-    Returns (mean absolute error, rows); the Azema supermartingale is the
-    predicted conditional survival probability of the last-passage time.
-    """
-    grid = cfg.grid()
-    ti = grid.index_of(t_check)
-    ys, alive = [], []
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = _emery_block(cfg, grid, lo, hi)
-        ys.append(np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check))
-        alive.append(ctx.xi > t_check)
-    y = np.concatenate(ys)
-    a = np.concatenate(alive)
-    edges = np.quantile(y, np.linspace(0.0, 1.0, bins + 1))
-    edges[0] -= 1e-12
-    rows = []
-    errs = []
-    for b in range(bins):
-        sel = (y > edges[b]) & (y <= edges[b + 1])
-        n = int(sel.sum())
-        if n == 0:
-            continue
-        emp = float(np.mean(a[sel]))
-        pred = float(np.mean(1.0 - h_func(y[sel])))
-        errs.append(abs(emp - pred))
-        rows.append({"bin": b, "n": n, "empirical": emp, "predicted": pred})
-    return float(np.mean(errs)), rows
 
 
 # ---------------------------------------------------------------------------
@@ -760,35 +730,6 @@ def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def future_inf_piece_system(
-    R: np.ndarray, I: np.ndarray, grid: TimeGrid, scale: ScaleFunction
-) -> PieceSystem:
-    """Piece system of the future-infimum enlargement on one Bessel path.
-
-    Target is the scale-transformed path, reference the scale-transformed
-    future infimum, and the per-piece drift d<e(Z)>/e(Z) is realized
-    through squared increments.  The pieces are the maximal grid runs of
-    {Z > I}: the closed intervals up to the next infimum increase also
-    contain the touch points Z = I, but those form the boundary set that
-    carries the local-time mass, and the decomposition identity needs them
-    outside the covered set (the continuum statement only determines the
-    covered set up to this countable boundary).
-    """
-    e = np.vectorize(scale.e, otypes=[float])
-    s = e(R)
-    s_check = e(I)
-    times = grid.times()
-    covered = R > I
-    intervals = []
-    for a, b in _mask_runs(covered):
-        intervals.append((float(times[a] - 0.5 * grid.dt), float(times[b])))
-    de = np.diff(s)
-    chi_inc = de * de / s[:-1]
-    return PieceSystem.from_common_drift(
-        GridPath(grid, s), GridPath(grid, s_check), intervals, chi_inc
-    )
-
-
 def random_piece_system(
     rng: np.random.Generator,
     n_steps: int = 200,
@@ -815,9 +756,7 @@ def random_piece_system(
     for lo, hi in intervals:
         covered |= (times > lo) & (times <= hi)
 
-    s_check = np.concatenate(
-        [[0.0], np.cumsum(rng.normal(0.0, jump_scale, n_steps))]
-    )
+    s_check = cumulative(rng.normal(0.0, jump_scale, n_steps))
     disturb = np.where(covered, rng.normal(0.0, jump_scale, n_steps + 1), 0.0)
     s = s_check + disturb
 
@@ -835,6 +774,14 @@ def random_piece_system(
     return system
 
 
+def _identity_result(
+    cfg: ScenarioConfig, name: str, functional: str, worst: float, n_cases: int
+) -> ScenarioResult:
+    """One entry holding the worst error of n_cases exact-identity checks."""
+    entry = SuiteEntry(0.0, 0.0, functional, worst, 0.0, 0.0, n_cases, worst <= 1e-12)
+    return ScenarioResult(name, martingale_suite({}, cfg.threshold), (entry,))
+
+
 def run_glue_demo(cfg: ScenarioConfig) -> ScenarioResult:
     """Randomized reconstruction checks on synthetic piece systems."""
     rng = np.random.default_rng(cfg.seed)
@@ -845,12 +792,7 @@ def run_glue_demo(cfg: ScenarioConfig) -> ScenarioResult:
         dec = glue(system, eps_list=[system.grid.dt, 4 * system.grid.dt])
         res = np.max(np.abs(reconstruction_residual(system, dec)))
         worst = max(worst, float(res))
-    entry = SuiteEntry(
-        0.0, 0.0, "glue:max-reconstruction-error", worst, 0.0, 0.0, n_cases,
-        worst <= 1e-12,
-    )
-    report = martingale_suite({}, cfg.threshold, "bonferroni")
-    return ScenarioResult("glue-demo", report, (entry,))
+    return _identity_result(cfg, "glue-demo", "glue:max-reconstruction-error", worst, n_cases)
 
 
 def run_elemint_check(cfg: ScenarioConfig) -> ScenarioResult:
@@ -869,12 +811,7 @@ def run_elemint_check(cfg: ScenarioConfig) -> ScenarioResult:
                 worst = max(worst, abs(lhs(t) - rhs(t)))
         if not ei.check_composition(g, h, f):
             worst = max(worst, 1.0)
-    entry = SuiteEntry(
-        0.0, 0.0, "elemint:max-property-error", worst, 0.0, 0.0, n_cases,
-        worst <= 1e-12,
-    )
-    report = martingale_suite({}, cfg.threshold, "bonferroni")
-    return ScenarioResult("elemint-check", report, (entry,))
+    return _identity_result(cfg, "elemint-check", "elemint:max-property-error", worst, n_cases)
 
 
 def _random_step_function(rng: np.random.Generator, a: float, b: float):

@@ -105,9 +105,7 @@ class MartingaleTestReport:
     """All per-(s, t, functional) statistics plus the corrected verdict."""
 
     entries: tuple
-    threshold: float
     per_entry_threshold: float
-    correction: str
     verdict: str  # "pass" or "fail"
     vacuous: bool = False
 
@@ -131,33 +129,14 @@ def bonferroni_threshold(nominal_z: float, n_entries: int) -> float:
     return float(-ndtri(p_nominal / (2.0 * n_entries)))
 
 
-def martingale_suite(
-    accumulators: dict,
-    threshold: float = 3.0,
-    correction: str = "bonferroni",
-) -> MartingaleTestReport:
-    """Assemble a report from per-(s, t, functional) accumulators.
+def martingale_suite(accumulators: dict, threshold: float = 3.0) -> MartingaleTestReport:
+    """Assemble a Bonferroni-corrected report from per-(s, t, functional) accumulators.
 
     ``accumulators`` maps (s, t, functional_id) -> MomentAccumulator.  An
     empty mapping yields a vacuous pass, flagged as such.
     """
-    if correction not in ("bonferroni", "none"):
-        raise ConfigurationError(f"unknown correction {correction!r}")
     keys = sorted(accumulators.keys())
-    if not keys:
-        return MartingaleTestReport(
-            entries=(),
-            threshold=threshold,
-            per_entry_threshold=threshold,
-            correction=correction,
-            verdict="pass",
-            vacuous=True,
-        )
-    per_entry = (
-        bonferroni_threshold(threshold, len(keys))
-        if correction == "bonferroni"
-        else threshold
-    )
+    per_entry = bonferroni_threshold(threshold, len(keys))
     entries = []
     all_pass = True
     for s, t, fid in keys:
@@ -169,8 +148,7 @@ def martingale_suite(
         )
     return MartingaleTestReport(
         entries=tuple(entries),
-        threshold=threshold,
         per_entry_threshold=per_entry,
-        correction=correction,
         verdict="pass" if all_pass else "fail",
+        vacuous=not keys,
     )

@@ -1,0 +1,99 @@
+"""Per-path reference oracles that the tests compare the package against.
+
+None of these runs in a scenario: ``last_level_crossing`` is the per-path
+reference for the block last-passage kernel, ``future_inf_piece_system``
+feeds one Bessel path with its future infimum to the gluing algorithm, and
+``emery_conditional_law_rows`` bins the simulated last passage against its
+Azema supermartingale.
+"""
+
+import math
+
+import numpy as np
+
+from filtralab.drifts import h_func
+from filtralab.gluing import PieceSystem, _mask_runs
+from filtralab.grids import GridPath, TimeGrid
+from filtralab.paths import ScaleFunction
+from filtralab.scenarios import ScenarioConfig, _blocks, _emery_block
+
+
+def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:
+    """Linearly interpolated time of the last sign change of (path - level).
+
+    Returns 0 when no crossing exists on the grid; callers that need a
+    crossing almost surely must check their own nondegeneracy condition.
+    """
+    times = path.times()
+    stop_idx = path.grid.floor_index(horizon)
+    f = path.values[: stop_idx + 1] - level
+    for k in range(stop_idx, 0, -1):
+        a, b = f[k - 1], f[k]
+        if b == 0.0:
+            return float(times[k])
+        if a == 0.0:
+            # crossing exactly at the earlier grid point, unless a later one exists
+            return float(times[k - 1])
+        if (a > 0) != (b > 0):
+            return float(times[k - 1] + (times[k] - times[k - 1]) * (-a) / (b - a))
+    return 0.0
+
+
+def future_inf_piece_system(
+    R: np.ndarray, I: np.ndarray, grid: TimeGrid, scale: ScaleFunction
+) -> PieceSystem:
+    """Piece system of the future-infimum enlargement on one Bessel path.
+
+    Target is the scale-transformed path, reference the scale-transformed
+    future infimum, and the per-piece drift d<e(Z)>/e(Z) is realized
+    through squared increments.  The pieces are the maximal grid runs of
+    {Z > I}: the closed intervals up to the next infimum increase also
+    contain the touch points Z = I, but those form the boundary set that
+    carries the local-time mass, and the decomposition identity needs them
+    outside the covered set (the continuum statement only determines the
+    covered set up to this countable boundary).
+    """
+    e = np.vectorize(scale.e, otypes=[float])
+    s = e(R)
+    s_check = e(I)
+    times = grid.times()
+    covered = R > I
+    intervals = []
+    for a, b in _mask_runs(covered):
+        intervals.append((float(times[a] - 0.5 * grid.dt), float(times[b])))
+    de = np.diff(s)
+    chi_inc = de * de / s[:-1]
+    return PieceSystem.from_common_drift(
+        GridPath(grid, s), GridPath(grid, s_check), intervals, chi_inc
+    )
+
+
+def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: int = 20):
+    """Binned empirical P[t < xi | y in bin] against 1 - h(y) at one time.
+
+    Returns (mean absolute error, rows); the Azema supermartingale is the
+    predicted conditional survival probability of the last-passage time.
+    """
+    grid = cfg.grid()
+    ti = grid.index_of(t_check)
+    ys, alive = [], []
+    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
+        ctx = _emery_block(cfg, grid, lo, hi)
+        ys.append(np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check))
+        alive.append(ctx.xi > t_check)
+    y = np.concatenate(ys)
+    a = np.concatenate(alive)
+    edges = np.quantile(y, np.linspace(0.0, 1.0, bins + 1))
+    edges[0] -= 1e-12
+    rows = []
+    errs = []
+    for b in range(bins):
+        sel = (y > edges[b]) & (y <= edges[b + 1])
+        n = int(sel.sum())
+        if n == 0:
+            continue
+        emp = float(np.mean(a[sel]))
+        pred = float(np.mean(1.0 - h_func(y[sel])))
+        errs.append(abs(emp - pred))
+        rows.append({"bin": b, "n": n, "empirical": emp, "predicted": pred})
+    return float(np.mean(errs)), rows

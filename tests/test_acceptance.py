@@ -15,15 +15,10 @@ import pytest
 from filtralab import elemint as ei
 from filtralab.gluing import boundary_half_local_time, glue, reconstruction_residual
 from filtralab.paths import reciprocal_scale
-from filtralab.scenarios import (
-    ScenarioConfig,
-    emery_conditional_law_rows,
-    future_inf_piece_system,
-    random_piece_system,
-    run_scenario,
-)
+from filtralab.scenarios import ScenarioConfig, random_piece_system, run_scenario
 from filtralab.drifts import emery_after_rate
 from filtralab.scenarios import _emery_block, _pitman_block
+from oracles import emery_conditional_law_rows, future_inf_piece_system
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -408,7 +403,7 @@ def test_criterion_11_null_calibration():
             inc = ctx.W[:, ti] - ctx.W[:, si]
             for f in _base_functionals():
                 accs[(s, t, f.id)].add(inc * f.values(ctx, si))
-        report = martingale_suite(accs, threshold=3.0, correction="bonferroni")
+        report = martingale_suite(accs, threshold=3.0)
         rejections += 0 if report.passed else 1
     elapsed = time.time() - t0
     _verdict(

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from filtralab.cli import build_config, emit_report, run
 from filtralab.errors import ConfigurationError
@@ -18,13 +19,50 @@ from filtralab.verify import MartingaleTestReport, SuiteEntry
 def _result(entries=(), extra=(), vacuous=False, verdict="pass"):
     report = MartingaleTestReport(
         entries=tuple(entries),
-        threshold=3.0,
         per_entry_threshold=3.0,
-        correction="bonferroni",
         verdict=verdict,
         vacuous=vacuous,
     )
     return ScenarioResult("bridge", report, tuple(extra))
+
+
+# Per config key, values that validation must refuse.  Letters from "abcxyz"
+# spell no scenario, format, method, boolean word or float literal.
+_WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=8)
+_NON_SCALAR = st.one_of(
+    st.none(), st.lists(st.integers(), max_size=2), st.dictionaries(_WORDS, st.integers(), max_size=1)
+)
+_NOT_NUMBER = st.one_of(_NON_SCALAR, st.booleans(), _WORDS)
+_INVALID = {
+    "scenario": st.one_of(_NON_SCALAR, st.integers(), _WORDS),
+    "n_paths": st.one_of(
+        _NOT_NUMBER, st.integers(max_value=99), st.floats().filter(lambda x: not x.is_integer())
+    ),
+    "seed": st.one_of(_NOT_NUMBER, st.floats().filter(lambda x: not x.is_integer())),
+    "block_size": st.one_of(_NOT_NUMBER, st.integers(max_value=0)),
+    "dt": st.one_of(_NOT_NUMBER, st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan)),
+    "horizon": st.one_of(_NOT_NUMBER, st.floats().filter(lambda x: x != 1.0)),
+    "delta": st.one_of(
+        _NOT_NUMBER, st.floats(max_value=0.0099), st.floats(min_value=0.995), st.just(math.nan)
+    ),
+    "threshold": st.one_of(
+        _NOT_NUMBER, st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan)
+    ),
+    "format": st.one_of(_NON_SCALAR, _WORDS),
+    "no_correction": st.one_of(
+        _NON_SCALAR, st.integers().filter(lambda v: v not in (0, 1)), st.floats(), _WORDS
+    ),
+    "bes_method": st.one_of(_NON_SCALAR, _WORDS),
+    "out_path": st.one_of(_NON_SCALAR, st.booleans(), st.integers()),
+    "colour": st.integers(),  # no such key
+}
+
+
+def _key_value_text(key, value):
+    """The value as a key = value config line, or None where only JSON can say it."""
+    if value is None or isinstance(value, (list, dict)) or key == "out_path":
+        return None
+    return f"{key.replace('_', '-')} = {value}"
 
 
 def _entry(**kw):
@@ -82,6 +120,16 @@ class TestBuildConfig:
         p.write_text("scenario=pitman\nbes-method=euler-sde\nn-paths=200\n")
         cfg = build_config(["--config", str(p)])
         assert cfg.bes_method == "euler-sde"
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [("yes", True), ("On", True), ("1", True), ("off", False), ("0", False),
+         (True, True), (1, True), (0, False)],
+    )
+    def test_no_correction_words(self, tmp_path, raw, want):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"scenario": "bridge", "n-paths": 200, "no-correction": raw}))
+        assert build_config(["--config", str(p)]).no_correction is want
 
 
 class TestEmitReport:
@@ -156,6 +204,8 @@ class TestExitCodes:
             "scenario = emery-after, delta = 0.9",
             "scenario = emery-after, delta = 0.895",
             "scenario = honest, delta = 0.9",
+            "no-correction = maybe",
+            "n-paths = 1e3",
         ],
     )
     def test_invalid_config_file_exit_two(self, tmp_path, capsys, line):
@@ -171,6 +221,83 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"n_paths": None},
+            {"seed": [1]},
+            {"seed": {"value": 1}},
+            {"n_paths": True},
+            {"n_paths": 1500.5},
+            {"block_size": float("inf")},
+            {"dt": False},
+            {"dt": "fast"},
+            {"threshold": None},
+            {"scenario": 3},
+            {"out_path": 5},
+            {"no_correction": "maybe"},
+            {"no_correction": 2},
+            {"no_correction": 1.0},
+        ],
+        ids=repr,
+    )
+    def test_invalid_json_config_exit_two(self, tmp_path, capsys, update):
+        from filtralab.cli import main
+
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"scenario": "bridge", "n_paths": 200, "dt": 0.01, **update}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data(), as_json=st.booleans())
+    def test_invalid_config_property(self, tmp_path, capsys, data, as_json):
+        # one invalid value on a valid bridge base: exit 2 before any simulation
+        from filtralab.cli import main
+
+        key = data.draw(st.sampled_from(sorted(_INVALID)), label="key")
+        value = data.draw(_INVALID[key], label="value")
+        line = _key_value_text(key, value)
+        p = tmp_path / "run.cfg"
+        if as_json or line is None:
+            p.write_text(json.dumps({"scenario": "bridge", "n_paths": 200, "dt": 0.01, key: value}))
+        else:
+            p.write_text(f"scenario = bridge\nn-paths = 200\ndt = 0.01\n{line}\n")
+        assert main(["--config", str(p), "--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, dt, time, extra",
+        [
+            ("bridge", "0.25", "0.2", ""),
+            ("supremum", "0.125", "0.2", ""),
+            ("pitman", "0.25", "0.1", "bes-method = euler-sde\n"),
+        ],
+        ids=["bridge", "supremum", "pitman-euler-sde"],
+    )
+    def test_off_grid_checkpoint_names_the_rule(self, tmp_path, capsys, scenario, dt, time, extra):
+        from filtralab.cli import main
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(extra)
+        argv = ["--config", str(cfg), "--scenario", scenario, "--dt", dt, "--delta", dt,
+                "--n-paths", "200", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"{scenario} checkpoint t = {time} " in captured.err
+        assert f"dt = {dt}" in captured.err
+        assert "TimeGrid(" not in captured.err
         assert not (tmp_path / "r.csv").exists()
 
     def test_degeneracy_exit_three(self, capsys, monkeypatch):

@@ -44,9 +44,3 @@ class TestGridPath:
         p = GridPath(g, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             p.values[0] = 9.0
-
-    def test_step_evaluation(self):
-        g = TimeGrid(0.0, 0.5, 2)
-        p = GridPath(g, np.array([1.0, 2.0, 3.0]))
-        assert p.value_at(0.3) == 1.0
-        assert p.value_at(0.5) == 2.0

@@ -1,8 +1,8 @@
 """Simulation, conditioning data, and the RNG determinism contract.
 
 The Brownian, supremum, last-passage and Pitman block kernels live in
-``filtralab.scenarios``; the Euler Bessel(3) kernel, bridge extrema and the
-level crossing in ``paths``.
+``filtralab.scenarios``; the Euler Bessel(3) kernel and bridge extrema in
+``paths``; the per-path level crossing is the oracle in ``oracles``.
 """
 
 import math
@@ -16,6 +16,7 @@ from filtralab.grids import GridPath, TimeGrid
 from filtralab import paths as P
 from filtralab import scenarios as sc
 from filtralab.rng import substream
+from oracles import last_level_crossing
 
 
 GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
@@ -221,25 +222,25 @@ class TestScaleFunction:
 class TestCrossings:
     def test_last_level_crossing_interpolated(self):
         p = GridPath(GRID3, np.array([0.0, 0.8, 0.2, 1.0]))
-        t = P.last_level_crossing(p, 0.5, 1.0)
+        t = last_level_crossing(p, 0.5, 1.0)
         assert t == pytest.approx(2.0 / 3.0 + (1.0 / 3.0) * (0.3 / 0.8), abs=1e-12)
 
     def test_no_crossing_sentinel(self):
         p = GridPath(GRID3, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert P.last_level_crossing(p, 0.5, 1.0) == 0.0
+        assert last_level_crossing(p, 0.5, 1.0) == 0.0
 
     def test_exact_grid_hit(self):
         p = GridPath(GRID3, np.array([1.0, 0.5, 2.0, 3.0]))
-        assert P.last_level_crossing(p, 0.5, 1.0) == pytest.approx(1.0 / 3.0)
+        assert last_level_crossing(p, 0.5, 1.0) == pytest.approx(1.0 / 3.0)
 
     def test_last_zero_takes_final_sign_change(self):
         # [0, 1, -1, 2]: the last straddle is (-1, 2), interpolated at 2/3 + 1/9
         p = GridPath(GRID3, np.array([0.0, 1.0, -1.0, 2.0]))
-        assert P.last_level_crossing(p, 0.0, 1.0) == pytest.approx(7.0 / 9.0, abs=1e-12)
+        assert last_level_crossing(p, 0.0, 1.0) == pytest.approx(7.0 / 9.0, abs=1e-12)
 
     def test_never_zero_after_origin(self):
         p = GridPath(GRID3, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert P.last_level_crossing(p, 0.0, 1.0) == 0.0
+        assert last_level_crossing(p, 0.0, 1.0) == 0.0
 
 
 class TestNextSupIncrease:

