@@ -94,7 +94,7 @@ _BOOL_WORDS = {
 }
 
 
-def _coerce(name: str, raw):
+def _coerce(name: str, raw, source: str | None = None):
     """``raw`` as the type of ScenarioConfig field ``name``; other values are refused.
 
     Strings are parsed; JSON numbers must fit the field (no booleans, and
@@ -120,7 +120,7 @@ def _coerce(name: str, raw):
             if isinstance(raw, str) or kind is float or value == raw:
                 return value
     label = {bool: "a boolean", int: "an integer", float: "a number"}.get(kind, "a string")
-    raise ConfigurationError(f"config key {name!r} needs {label}, got {raw!r}")
+    raise ConfigurationError(f"{source or f'config key {name!r}'} needs {label}, got {raw!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -143,8 +143,13 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 2 from main; --help still exits 0
+        raise ConfigurationError(message)
+
+
 def build_config(argv) -> ScenarioConfig:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filtralab",
         description="Run one enlargement-of-filtration experiment and emit a report.",
     )
@@ -159,11 +164,7 @@ def build_config(argv) -> ScenarioConfig:
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--no-correction", action="store_true", default=None)
     parser.add_argument("--config", dest="config_file")
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors already
-        raise ConfigurationError("invalid command line") from exc
-
+    ns = parser.parse_args(argv)
     settings: dict = {}
     if ns.config_file:
         for k, v in _load_config_file(ns.config_file).items():
@@ -172,7 +173,7 @@ def build_config(argv) -> ScenarioConfig:
         if val is not None and key != "config_file":
             settings[key] = val
     if "seed" not in settings and os.environ.get("FILTRALAB_SEED"):
-        settings["seed"] = int(os.environ["FILTRALAB_SEED"])
+        settings["seed"] = _coerce("seed", os.environ["FILTRALAB_SEED"], "FILTRALAB_SEED")
     if "scenario" not in settings:
         raise ConfigurationError("--scenario (or a config file naming one) is required")
     return ScenarioConfig(**settings).validated()

@@ -1,13 +1,13 @@
 """Bessel(3) simulation and bridge extrema.
 
 The scenarios' block kernels simulate and condition whole blocks of paths;
-this module holds what they share: exact Brownian-bridge extremum draws,
-the Pitman construction of a Bessel(3) path, the reflecting Euler block
-kernel of the Bessel(3) SDE, and the scale function whose inverse completes
-the future infimum past the horizon.
+this module holds what they share: ``draw_rows``, exact Brownian-bridge
+extremum draws, the Pitman construction of a block of Bessel(3) paths, the
+reflecting Euler block kernel of the Bessel(3) SDE, and the scale function
+whose inverse completes the future infimum past the horizon.
 
-Simulation is deterministic per (seed, path index) through counter-based
-substreams, so results do not depend on evaluation order across paths.
+Simulation is deterministic per (seed, path index): ``draw_rows`` gives each
+path its own counter-based substream, whatever block the path falls in.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .rng import substream
 __all__ = [
     "ScaleFunction",
     "reciprocal_scale",
+    "draw_rows",
     "pitman_from_draws",
     "euler_bes3_block",
 ]
@@ -38,16 +39,16 @@ class ScaleFunction:
     function of the three-dimensional Bessel process.  ``tail_sample``
     inverts the conditional law of the eventual infimum given the current
     value: P[inf <= a | Z = z] = e(z)/e(a), so a = e_inverse(e(z)/u) with
-    u uniform on (0, 1).
+    u uniform on (0, 1), elementwise over arrays of z and u.
     """
 
-    e: Callable[[float], float]
-    e_inverse: Callable[[float], float]
+    e: Callable
+    e_inverse: Callable
 
-    def tail_sample(self, z: float, u: float) -> float:
-        if z <= 0.0:
-            raise DomainError(f"scale functions are defined on (0, inf), got {z}")
-        return float(self.e_inverse(self.e(z) / u))
+    def tail_sample(self, z, u):
+        if np.any(np.asarray(z) <= 0.0):
+            raise DomainError(f"scale functions are defined on (0, inf), got {np.min(z)}")
+        return self.e_inverse(self.e(z) / u)
 
 
 def reciprocal_scale() -> ScaleFunction:
@@ -57,6 +58,13 @@ def reciprocal_scale() -> ScaleFunction:
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
+
+
+def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.ndarray:
+    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``."""
+    for k in range(len(out)):
+        out[k] = draw(substream(seed, purpose, lo + k))
+    return out
 
 
 def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
@@ -73,31 +81,30 @@ def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.nd
 
 def pitman_from_draws(
     r0: float,
-    j0_uniform: float,
+    j0_uniform,
     normals: np.ndarray,
     bridge_uniforms: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Deterministic kernel of the Pitman construction.
+    """Deterministic kernel of the Pitman construction, along the last axis.
 
     The eventual infimum level is J0 = r0 * j0_uniform; the auxiliary
     Brownian path starts at 2*J0 - r0 and its continuum running supremum is
     sampled exactly step by step with bridge-maximum draws.  The returned
     path R = 2*max(J0, sup B) - B then has the exact finite-dimensional law
     of a three-dimensional Bessel process from r0, and R >= J0 > 0 pathwise.
+    A block passes one j0 uniform per row and (rows, n) normals and uniforms.
     """
-    n = len(normals)
-    j0 = r0 * j0_uniform
-    b = np.empty(n + 1)
-    b[0] = 2.0 * j0 - r0
-    np.cumsum(normals * math.sqrt(dt), out=b[1:])
-    b[1:] += b[0]
-    step_max = _bridge_max(b[:-1], b[1:], dt, bridge_uniforms)
-    sup = np.empty(n + 1)
-    sup[0] = b[0]
-    np.maximum.accumulate(step_max, out=sup[1:])
-    m = np.maximum(j0, sup)
-    return 2.0 * m - b
+    j0 = r0 * np.asarray(j0_uniform)[..., None]
+    b = np.empty(normals.shape[:-1] + (normals.shape[-1] + 1,))
+    b[..., :1] = 2.0 * j0 - r0
+    np.cumsum(normals * math.sqrt(dt), axis=-1, out=b[..., 1:])
+    b[..., 1:] += b[..., :1]
+    step_max = _bridge_max(b[..., :-1], b[..., 1:], dt, bridge_uniforms)
+    sup = np.empty_like(b)
+    sup[..., :1] = b[..., :1]
+    np.maximum.accumulate(step_max, axis=-1, out=sup[..., 1:])
+    return 2.0 * np.maximum(j0, sup) - b
 
 
 def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -109,10 +116,8 @@ def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
     ``NumericalDegeneracyError`` instead of being clamped.
     """
     sqdt = math.sqrt(grid.dt)
-    out = np.empty((grid.n + 1, hi - lo))
-    out[0] = 1.0
-    for i in range(lo, hi):
-        out[1:, i - lo] = substream(seed, "bes3", i).standard_normal(grid.n)
+    out = np.ones((grid.n + 1, hi - lo))
+    draw_rows(out[1:].T, seed, "bes3", lo, lambda gen: gen.standard_normal(grid.n))
     for k in range(grid.n):
         cur, nxt = out[k], out[k + 1]
         nxt *= sqdt

@@ -30,11 +30,12 @@ from .grids import GridPath, TimeGrid, cumulative
 from .gluing import PieceSystem, glue, reconstruction_residual
 from .paths import (
     _bridge_min,
+    draw_rows,
     euler_bes3_block,
     pitman_from_draws,
     reciprocal_scale,
 )
-from .rng import substream
+from .rng import substream  # noqa: F401  (the benchmark's trace table looks it up here)
 from .verify import (
     MartingaleTestReport,
     MomentAccumulator,
@@ -169,14 +170,16 @@ def _blocks(n_paths: int, block_size: int):
 
 
 def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
-    sqdt = math.sqrt(grid.dt)
-    out = np.empty((hi - lo, grid.n + 1))
-    for i in range(lo, hi):
-        z = substream(seed, "brownian", i).standard_normal(grid.n)
-        out[i - lo, 0] = 0.0
-        np.cumsum(z, out=out[i - lo, 1:])
-    out[:, 1:] *= sqdt
+    out = np.zeros((hi - lo, grid.n + 1))
+    draw_rows(out[:, 1:], seed, "brownian", lo, lambda gen: gen.standard_normal(grid.n))
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    out[:, 1:] *= math.sqrt(grid.dt)
     return out
+
+
+def _bridge_uniforms(seed: int, lo: int, nb: int, n: int) -> np.ndarray:
+    """1 - U for the n per-step uniforms of each row's ``bridge_min`` stream."""
+    return draw_rows(np.empty((nb, n)), seed, "bridge_min", lo, lambda g: 1.0 - g.uniform(size=n))
 
 
 def _exact_last_passage(
@@ -198,9 +201,7 @@ def _exact_last_passage(
     """
     f = values - levels[:, None]
     a, b = f[:, :-1], f[:, 1:]
-    u = np.empty_like(a)
-    for i in range(len(f)):
-        u[i] = 1.0 - substream(seed, "bridge_min", lo + i).uniform(size=f.shape[1] - 1)
+    u = _bridge_uniforms(seed, lo, *a.shape)
     flip = (a == 0.0) | (b == 0.0) | ((a > 0.0) != (b > 0.0))
     with np.errstate(under="ignore"):
         p_touch = np.exp(-2.0 * np.maximum(a * b, 0.0) / grid.dt)
@@ -335,14 +336,12 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     its supremum at grid times, which removes the O(sqrt(dt)) downward bias
     of the grid-sampled supremum; record times are resolved to the step
     that contains them (midpoint convention) and censored entries get one
-    exact post-horizon first-passage draw.
+    exact post-horizon first-passage draw, made on every path (U_h > W_h a.s.).
     """
     from .paths import _bridge_max
 
     w = _brownian_block(grid, cfg.seed, lo, hi)
-    bu = np.empty((hi - lo, grid.n))
-    for i in range(lo, hi):
-        bu[i - lo] = 1.0 - substream(cfg.seed, "bridge_min", i).uniform(size=grid.n)
+    bu = _bridge_uniforms(cfg.seed, lo, hi - lo, grid.n)
     step_max = _bridge_max(w[:, :-1], w[:, 1:], grid.dt, bu)
     u = np.empty_like(w)
     u[:, 0] = w[:, 0]
@@ -355,12 +354,8 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     ttimes[:, :-1] = np.minimum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
     ttimes[:, -1] = math.inf
 
-    gap_h = u[:, -1] - w[:, -1]
-    t_star = np.full(hi - lo, grid.horizon)
-    for i in range(lo, hi):
-        if gap_h[i - lo] > 0.0:
-            z = float(substream(cfg.seed, "sup_tail", i).standard_normal())
-            t_star[i - lo] = grid.horizon + gap_h[i - lo] ** 2 / (z * z)
+    z = draw_rows(np.empty(hi - lo), cfg.seed, "sup_tail", lo, lambda gen: gen.standard_normal())
+    t_star = grid.horizon + (u[:, -1] - w[:, -1]) ** 2 / (z * z)
     ttimes = np.where(np.isfinite(ttimes), ttimes, t_star[:, None])
     return BlockContext(grid, grid.times(), w, U=u, Ttimes=ttimes)
 
@@ -660,33 +655,22 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
     exact bridge minimum, completed past the horizon by one exact draw of
     the eventual infimum given the terminal value.
     """
-    scale = reciprocal_scale()
     nb, n = hi - lo, grid.n
     if cfg.bes_method == "pitman-construction":
-        r = np.empty((nb, n + 1))
-        for i in range(lo, hi):
-            gen = substream(cfg.seed, "bes3", i)
-            j0u = 1.0 - gen.uniform()
-            z = gen.standard_normal(n)
-            bu = 1.0 - gen.uniform(size=n)
-            r[i - lo] = pitman_from_draws(1.0, j0u, z, bu, grid.dt)
+        # one row of the bes3 stream: j0 uniform, n normals, n bridge uniforms
+        d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, lambda gen: np.concatenate(
+            ([1.0 - gen.uniform()], gen.standard_normal(n), 1.0 - gen.uniform(size=n))))
+        r = pitman_from_draws(1.0, d[:, 0], d[:, 1:n + 1], d[:, n + 1:], grid.dt)
+        del d  # the draws go before the future infimum's temporaries: same peak RSS
     else:
         r = euler_bes3_block(grid, cfg.seed, lo, hi)
 
-    tails = np.empty(nb)
-    bridge_u = np.empty((nb, n))
-    for i in range(lo, hi):
-        u_t = 1.0 - float(substream(cfg.seed, "inf_tail", i).uniform())
-        tails[i - lo] = scale.tail_sample(float(r[i - lo, -1]), u_t)
-        bridge_u[i - lo] = 1.0 - substream(cfg.seed, "bridge_min", i).uniform(size=n)
-    step_min = _bridge_min(r[:, :-1], r[:, 1:], grid.dt, bridge_u)
-    ext = np.concatenate(
-        [step_min, np.minimum(r[:, -1:], tails[:, None])], axis=1
-    )
+    u_tail = draw_rows(np.empty(nb), cfg.seed, "inf_tail", lo, lambda gen: 1.0 - gen.uniform())
+    tails = reciprocal_scale().tail_sample(r[:, -1], u_tail)
+    step_min = _bridge_min(r[:, :-1], r[:, 1:], grid.dt, _bridge_uniforms(cfg.seed, lo, nb, n))
+    ext = np.concatenate([step_min, np.minimum(r[:, -1], tails)[:, None]], axis=1)
     inf_path = np.minimum.accumulate(ext[:, ::-1], axis=1)[:, ::-1]
-    return BlockContext(
-        grid, grid.times(), r, I=inf_path, transform=2.0 * inf_path - r
-    )
+    return BlockContext(grid, grid.times(), r, I=inf_path, transform=2.0 * inf_path - r)
 
 
 def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
@@ -697,7 +681,7 @@ def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
     checkpoints = [(level_ts[i], level_ts[i + 1]) for i in range(9)]
 
     funcs = [
-        TestFunctional("1", lambda ctx, si: np.ones(ctx.W.shape[0])),
+        _f_const(),
         TestFunctional("min(I,2)/2", lambda ctx, si: np.minimum(ctx.I[:, si], 2.0) / 2.0),
     ]
     level_accs: dict = {t: MomentAccumulator() for t in [0.0] + level_ts}

@@ -187,6 +187,40 @@ class TestExitCodes:
         assert main([]) == 2
 
     @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--dt", "x"], ["argument --dt", "'x'"]),
+            (["--n-paths", "1.5"], ["argument --n-paths", "'1.5'"]),
+            (["--format", "xml"], ["argument --format", "'xml'"]),
+            (["--seed"], ["argument --seed"]),
+            (["--colour", "red"], ["--colour red"]),
+        ],
+    )
+    def test_bad_flag_one_line(self, tmp_path, capsys, argv, names):
+        from filtralab.cli import main
+
+        out = tmp_path / "r.csv"
+        assert main(["--scenario", "bridge", "--out", str(out)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("filtralab: ")
+        assert all(name in captured.err for name in names)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "1e3", "7 seven"])
+    def test_bad_env_seed_one_line(self, tmp_path, capsys, monkeypatch, value):
+        from filtralab.cli import main
+
+        monkeypatch.setenv("FILTRALAB_SEED", value)
+        out = tmp_path / "r.csv"
+        assert main(["--scenario", "bridge", "--n-paths", "200", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("filtralab: FILTRALAB_SEED ")
+        assert repr(value) in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "line",
         [
             "block-size = -5",
@@ -346,6 +380,13 @@ class TestExitCodes:
 
 
 class TestConsoleScript:
+    def test_help_exits_zero(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "filtralab.cli", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: filtralab") and proc.stderr == ""
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "r.csv"
         proc = subprocess.run(

@@ -1,8 +1,13 @@
 """Simulation, conditioning data, and the RNG determinism contract.
 
 The Brownian, supremum, last-passage and Pitman block kernels live in
-``filtralab.scenarios``; the Euler Bessel(3) kernel and bridge extrema in
-``paths``; the per-path level crossing is the oracle in ``oracles``.
+``filtralab.scenarios``; ``paths`` holds the draw helper ``draw_rows`` that
+every block builder fills its per-path draws through, the whole-block Pitman
+construction, the vectorised tail sample of the future infimum, the Euler
+Bessel(3) kernel and bridge extrema; the per-path level crossing is the
+oracle in ``oracles``.  Every builder is checked against its own block
+sliced out of a larger one, and the block Pitman construction against the
+1-D call on each path's own draws.
 """
 
 import math
@@ -59,11 +64,60 @@ class TestSimulateBrownian:
             sc.ScenarioConfig(scenario="bridge", dt=0.1, n_paths=0).validated()
 
 
+class TestDrawRows:
+    def test_row_k_is_path_lo_plus_k(self):
+        out = np.empty((3, 4))
+        assert P.draw_rows(out, 5, "brownian", 7, lambda g: g.standard_normal(4)) is out
+        for k in range(3):
+            assert np.array_equal(out[k], substream(5, "brownian", 7 + k).standard_normal(4))
+
+    def test_one_scalar_per_row(self):
+        out = P.draw_rows(np.empty(4), 2, "inf_tail", 10, lambda g: g.uniform())
+        assert list(out) == [substream(2, "inf_tail", 10 + k).uniform() for k in range(4)]
+
+    @pytest.mark.parametrize(
+        "scenario, builder, method",
+        [
+            ("bridge", "_bridge_block", "pitman-construction"),
+            ("supremum", "_supremum_block", "pitman-construction"),
+            ("emery-before", "_emery_block", "pitman-construction"),
+            ("honest", "_honest_block", "pitman-construction"),
+            ("pitman", "_pitman_block", "pitman-construction"),
+            ("pitman", "_pitman_block", "euler-sde"),
+        ],
+    )
+    def test_block_rows_do_not_depend_on_the_block(self, scenario, builder, method):
+        # rows [2, 5) built alone equal rows 2-4 of the block [0, 10), field by field
+        cfg = sc.ScenarioConfig(scenario=scenario, dt=0.05, seed=7, bes_method=method)
+        build = getattr(sc, builder)
+        part, whole = build(cfg, cfg.grid(), 2, 5), build(cfg, cfg.grid(), 0, 10)
+        fields = [k for k, v in vars(whole).items() if isinstance(v, np.ndarray) and k != "times"]
+        assert len(fields) >= 2
+        for k in fields:
+            assert np.array_equal(getattr(part, k), getattr(whole, k)[2:5]), k
+        assert np.array_equal(part.times, whole.times)
+
+
 class TestSimulateBes3:
     def test_degenerate_draws_keep_r0(self):
         # zero Brownian increments and unit bridge uniforms: R stays at r0
         r = P.pitman_from_draws(1.3, 0.4, np.zeros(50), np.ones(50), 0.01)
         assert np.allclose(r, 1.3)
+
+    def test_block_matches_one_path_calls(self):
+        # the block construction equals the 1-D call on each path's own bes3 draws
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-2, seed=13)
+        grid, n = cfg.grid(), cfg.grid().n
+        rows = []
+        for i in range(4, 24):
+            gen = substream(13, "bes3", i)
+            j0u = 1.0 - gen.uniform()
+            z = gen.standard_normal(n)
+            rows.append((j0u, z, 1.0 - gen.uniform(size=n)))
+        one = [P.pitman_from_draws(1.0, j0u, z, bu, grid.dt) for j0u, z, bu in rows]
+        j0s, zs, bus = (np.array(col) for col in zip(*rows))
+        assert np.array_equal(P.pitman_from_draws(1.0, j0s, zs, bus, grid.dt), one)
+        assert np.array_equal(sc._pitman_block(cfg, grid, 4, 24).W, one)
 
     def test_pitman_strictly_positive(self):
         cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-3, seed=9)
@@ -159,9 +213,10 @@ class TestFutureInfimum:
             def standard_normal(self, n):
                 return np.zeros(n)
 
-        monkeypatch.setattr(sc, "pitman_from_draws", lambda *a: np.array([3.0, 2.0, 5.0]))
+        # a block of one path; the draw helper reads its substreams from ``paths``
+        monkeypatch.setattr(sc, "pitman_from_draws", lambda *a: np.array([[3.0, 2.0, 5.0]]))
         monkeypatch.setattr(sc, "reciprocal_scale", FixedTail)
-        monkeypatch.setattr(sc, "substream", lambda *a: Zeros())
+        monkeypatch.setattr(P, "substream", lambda *a: Zeros())
         cfg = sc.ScenarioConfig(scenario="pitman", dt=0.5, seed=1)
         ctx = sc._pitman_block(cfg, TimeGrid(0.0, 0.5, 2), 0, 1)
         assert np.array_equal(ctx.I[0], [2.0, 2.0, 4.0])
@@ -218,6 +273,13 @@ class TestScaleFunction:
         for z in (0.1, 1.0, 7.3):
             assert abs(scale.e_inverse(scale.e(z)) - z) <= 1e-10
 
+    def test_tail_sample_elementwise(self):
+        scale = P.reciprocal_scale()
+        z, u = np.array([0.3, 1.0, 2.7]), np.array([0.9, 0.5, 0.01])
+        assert list(scale.tail_sample(z, u)) == [scale.tail_sample(a, b) for a, b in zip(z, u)]
+        with pytest.raises(DomainError):
+            scale.tail_sample(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+
 
 class TestCrossings:
     def test_last_level_crossing_interpolated(self):
@@ -272,6 +334,12 @@ class TestNextSupIncrease:
         gap = ctx.U[:, -1] - ctx.W[:, -1]
         # censored entries pushed past the horizon
         assert np.all(ctx.Ttimes[gap > 0.0, -1] > 1.0)
+        # to the first passage above U_1 drawn from each path's own sup_tail stream;
+        # the square of the gap may round differently from a scalar power by an ulp
+        for i in range(len(ctx.W)):
+            z = substream(19, "sup_tail", i).standard_normal()
+            want = 1.0 + gap[i] ** 2 / (z * z)
+            assert ctx.Ttimes[i, -1] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
 
 
 class TestExtractEnlargement:
