@@ -157,10 +157,12 @@ def elem_integral(h: LeftStepFunction, f: CadlagFunction) -> CadlagFunction:
     x, d = h.breakpoints, h.levels
 
     def fn(t: float) -> float:
+        # f^t at each breakpoint, evaluated once for the two pieces meeting there
+        fx = [f.fn(min(t, xi)) for xi in x]
         total = 0.0
         for i, di in enumerate(d):
             if di != 0.0:
-                total += di * (f.fn(min(t, x[i + 1])) - f.fn(min(t, x[i])))
+                total += di * (fx[i + 1] - fx[i])
         return total
 
     jumps = tuple(

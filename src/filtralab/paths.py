@@ -7,7 +7,9 @@ reflecting Euler block kernel of the Bessel(3) SDE, and the scale function
 whose inverse completes the future infimum past the horizon.
 
 Simulation is deterministic per (seed, path index): ``draw_rows`` gives each
-path its own counter-based substream, whatever block the path falls in.
+path its own counter-based substream, whatever block the path falls in; one
+bit generator per call is re-keyed row by row, and each path's stream is the
+one a new ``substream`` would draw.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDegeneracyError
 from .grids import TimeGrid
-from .rng import substream
+from .rng import stream_key, substream
 
 __all__ = [
     "ScaleFunction",
@@ -61,9 +63,22 @@ def reciprocal_scale() -> ScaleFunction:
 
 
 def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.ndarray:
-    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``."""
+    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``.
+
+    One generator serves the whole call.  Before each later row its Philox
+    bit generator is re-keyed to that path's stream, with the counter and
+    the buffered state (``buffer``, ``buffer_pos``, ``has_uint32``,
+    ``uinteger``) reset to those of a new generator, so every row draws
+    exactly its own path's stream at a fraction of a new generator's cost.
+    """
+    gen = substream(seed, purpose, lo)
+    bits = gen.bit_generator
+    fresh = bits.state
     for k in range(len(out)):
-        out[k] = draw(substream(seed, purpose, lo + k))
+        if k:
+            fresh["state"]["key"] = stream_key(seed, purpose, lo + k)
+            bits.state = fresh
+        out[k] = draw(gen)
     return out
 
 

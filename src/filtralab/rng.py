@@ -4,14 +4,17 @@ Each (seed, purpose, path index) triple owns an independent Philox
 stream, so parallel and serial evaluation orders produce bit-identical
 ensembles.  Purposes keep the draws of different operations on the same
 path from colliding (e.g. the Brownian increments and the post-horizon
-tail sample of the future infimum).
+tail sample of the future infimum).  A stream is its Philox key with the
+counter at 0, so one bit generator re-keyed with ``stream_key`` (as
+``paths.draw_rows`` does per row) draws the same numbers as a new
+``substream`` per path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "PURPOSE"]
+__all__ = ["substream", "stream_key", "PURPOSE"]
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
@@ -27,11 +30,15 @@ PURPOSE = {
 }
 
 
-def substream(seed: int, purpose: str, stream_id: int = 0) -> np.random.Generator:
-    """Independent generator for one (seed, purpose, path) triple."""
+def stream_key(seed: int, purpose: str, stream_id: int = 0) -> np.ndarray:
+    """Philox key of one (seed, purpose, path) triple."""
     tag = PURPOSE[purpose]
-    key = np.array(
+    return np.array(
         [seed & _MASK64, ((tag << 48) | (stream_id & _MASK48)) & _MASK64],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+
+
+def substream(seed: int, purpose: str, stream_id: int = 0) -> np.random.Generator:
+    """Independent generator for one (seed, purpose, path) triple."""
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose, stream_id)))

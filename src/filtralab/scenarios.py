@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -150,7 +150,11 @@ class ScenarioResult:
 
 @dataclass
 class BlockContext:
-    """Per-block arrays the functionals and candidates read."""
+    """Per-block arrays the functionals and candidates read.
+
+    ``rate_parts`` holds drift-rate ingredients that more than one leg of a
+    block reads, once the first leg has evaluated them.
+    """
 
     grid: TimeGrid
     times: np.ndarray
@@ -162,6 +166,15 @@ class BlockContext:
     xi: np.ndarray | None = None
     g: np.ndarray | None = None
     transform: np.ndarray | None = None
+    rate_parts: tuple | None = None
+
+    def head(self, last: int) -> "BlockContext":
+        """The block on grid columns [0, last]: per-time arrays are cut (as
+        views), per-path ones (W1, xi, g) stay whole."""
+        cols = ("times", "W", "U", "I", "Ttimes", "transform")
+        return replace(self, **{
+            k: getattr(self, k)[..., :last + 1] for k in cols if getattr(self, k) is not None
+        })
 
 
 def _blocks(n_paths: int, block_size: int):
@@ -200,16 +213,22 @@ def _exact_last_passage(
     endpoint (the position error is O(dt), far below the window trim).
     """
     f = values - levels[:, None]
-    a, b = f[:, :-1], f[:, 1:]
-    u = _bridge_uniforms(seed, lo, *a.shape)
-    flip = (a == 0.0) | (b == 0.0) | ((a > 0.0) != (b > 0.0))
+    zero, pos = f == 0.0, f > 0.0
+    flip = zero[:, :-1] | zero[:, 1:] | (pos[:, :-1] != pos[:, 1:])
+    ab = f[:, :-1] * f[:, 1:]
+    del f, zero, pos
+    u = _bridge_uniforms(seed, lo, *ab.shape)
+    # Where f_j*f_{j+1} >= 20 dt the touch probability is below
+    # e^-40 < 2^-53 <= u, so only steps nearer the level are tested.
+    near = np.flatnonzero(ab < 20.0 * grid.dt)
     with np.errstate(under="ignore"):
-        p_touch = np.exp(-2.0 * np.maximum(a * b, 0.0) / grid.dt)
-    visit = flip | (u < p_touch)
+        p_touch = np.exp(-2.0 * np.maximum(ab.ravel()[near], 0.0) / grid.dt)
+    visit = flip.copy()
+    visit.ravel()[near] |= u.ravel()[near] < p_touch
     any_row = visit.any(axis=1)
     k = visit.shape[1] - 1 - np.argmax(visit[:, ::-1], axis=1)
-    rows = np.arange(len(f))
-    a_star, b_star = a[rows, k], b[rows, k]
+    rows = np.arange(len(values))
+    a_star, b_star = values[rows, k] - levels, values[rows, k + 1] - levels
     times = grid.times()
     t_lo, t_hi = times[k], times[k + 1]
     is_flip = flip[rows, k]
@@ -265,7 +284,9 @@ def _suite_from_blocks(
     checkpoints): ``candidate(cfg, ctx)`` is the process matrix of the
     block, and ``factory(s, t)`` lists the functionals tested on its
     increment over each checkpoint (s, t).  ``block_hook(ctx)`` sees every
-    block for reductions outside the suite.
+    block for reductions outside the suite.  Candidates, functionals and
+    the hook see the block up to the last checkpoint's column only; no
+    entry reads a later one.  A run that gathers no entry is refused.
     """
     grid = cfg.grid()
     accs: dict = defaultdict(MomentAccumulator)
@@ -275,16 +296,21 @@ def _suite_from_blocks(
           for s, t in checkpoints])
         for prefix, candidate, factory, checkpoints in legs
     ]
+    last = max((ti for *_, idx in legs for *_, ti in idx), default=grid.n)
     for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = make_block(cfg, grid, lo, hi)
+        ctx = make_block(cfg, grid, lo, hi).head(last)
         for prefix, candidate, factory, idx in legs:
             x = candidate(cfg, ctx)
             for s, t, si, ti in idx:
                 inc = x[:, ti] - x[:, si]
                 for f in factory(s, t):
                     accs[(s, t, prefix + f.id)].add(inc * f.values(ctx, si))
+            del x  # the next candidate is built without this one alive
         if block_hook is not None:
             block_hook(ctx)
+        del ctx  # and the next block without this one
+    if not accs:
+        raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
     return martingale_suite(accs, cfg.threshold)
 
 
@@ -430,13 +456,20 @@ def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
     contribution rate * (tau - t_k), so the stopped process stays unbiased.
     """
     t = ctx.times
-    stopped = np.where(t[None, :] <= tau[:, None], ctx.W, level)
     if cfg.no_correction:
-        return stopped
+        return np.where(t[None, :] <= tau[:, None], ctx.W, level)
     dndw, z = rate_parts(ctx)
-    rate = dndw / np.maximum(z, 1e-300)  # Z and dNdW underflow together
-    dt_eff = np.clip(tau[:, None] - t[:-1][None, :], 0.0, cfg.dt)
-    return stopped - cumulative(rate * dt_eff)
+    # stopped - cumulative(rate * dt_eff), with rate = dNdW / max(Z, 1e-300)
+    # (Z and dNdW underflow together), in place and one temporary at a time
+    rate = np.maximum(z, 1e-300)
+    np.divide(dndw, rate, out=rate)
+    dt_eff = np.subtract(tau[:, None], t[:-1][None, :])
+    rate *= np.clip(dt_eff, 0.0, cfg.dt, out=dt_eff)
+    del dt_eff
+    drift = cumulative(rate)
+    del rate
+    stopped = np.where(t[None, :] <= tau[:, None], ctx.W, level)
+    return np.subtract(stopped, drift, out=drift)
 
 
 def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
@@ -448,18 +481,29 @@ def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     min(1, |W - level|^4 / c^4); under the null any such integral is again
     a martingale, and the weight suppresses the region where a finite grid
     cannot match the continuum compensator.  ``rate(active)`` is the drift
-    rate on the active steps and 0 elsewhere; the negative control never
+    rate, read on the active steps only; the negative control never
     evaluates it.
     """
     t_left, t_right = ctx.times[:-1], ctx.times[1:]
     active = (t_left[None, :] >= tau[:, None] + cfg.delta - 1e-12) & (
         t_right[None, :] <= _AFTER_CAP + 1e-12
     )
-    phi = np.minimum(1.0, (np.abs(ctx.W[:, :-1] - level) / _DAMP_SCALE) ** 4) * active
     inc = np.diff(ctx.W, axis=1)
     if not cfg.no_correction:
-        inc -= rate(active) * cfg.dt
-    return cumulative(phi * inc)
+        drift = rate(active)
+        drift *= cfg.dt
+        np.subtract(inc, drift, out=inc, where=active)
+        del drift
+    # phi = min(1, (|W - level| / c)^4) * active, in place
+    phi = np.subtract(ctx.W[:, :-1], level)
+    np.abs(phi, out=phi)
+    phi /= _DAMP_SCALE
+    np.power(phi, 4, out=phi)
+    np.minimum(1.0, phi, out=phi)
+    phi *= active
+    phi *= inc
+    del inc
+    return cumulative(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -578,27 +622,46 @@ def _honest_rate_parts(ctx: BlockContext):
     dNdW = -2 phi(|W|/sqrt(1-t)) sgn(W)/sqrt(1-t) with phi the standard
     normal density, its derivative in w.
     """
-    t_left = ctx.times[:-1]
-    root = np.sqrt(1.0 - t_left)
+    root = np.sqrt(1.0 - ctx.times[:-1])
     w = ctx.W[:, :-1]
-    y = np.abs(w) / root[None, :]
-    z = erfc(y / math.sqrt(2.0))
-    phi = np.exp(-0.5 * y * y) / _SQRT2PI
-    dndw = -2.0 * phi * np.sign(w) / root[None, :]
+    # y = |w|/root, z = erfc(y/sqrt 2), phi = exp(-0.5*y*y)/sqrt(2 pi) and
+    # dndw = -2*phi*sign(w)/root, computed in place
+    y = np.abs(w)
+    y /= root
+    z = np.divide(y, math.sqrt(2.0))
+    erfc(z, out=z)
+    dndw = np.multiply(-0.5, y)
+    dndw *= y
+    np.exp(dndw, out=dndw)
+    dndw /= _SQRT2PI
+    dndw *= -2.0
+    dndw *= np.sign(w, out=y)
+    dndw /= root
     return dndw, z
+
+
+def _honest_shared_parts(ctx: BlockContext):
+    """``_honest_rate_parts`` of the block, evaluated once for both legs."""
+    if ctx.rate_parts is None:
+        ctx.rate_parts = _honest_rate_parts(ctx)
+    return ctx.rate_parts
 
 
 def _honest_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Stopped at g, where W sits at 0, and corrected before g."""
-    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, _honest_rate_parts)
+    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, _honest_shared_parts)
 
 
 def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Damped after g, with rate -dNdW/(1 - Z_-); the avoided set is W = 0."""
 
     def rate(active):
-        dndw, z = _honest_rate_parts(ctx)
-        return np.where(active, -dndw / np.maximum(1.0 - z, 1e-300), 0.0)
+        # -dndw / max(1 - z, 1e-300) in place; negating the quotient is exact
+        dndw, z = _honest_shared_parts(ctx)
+        out = np.subtract(1.0, z)
+        np.maximum(out, 1e-300, out=out)
+        np.divide(dndw, out, out=out)
+        return np.negative(out, out=out)
 
     return _damped_candidate(cfg, ctx, ctx.g, 0.0, rate)
 

@@ -4,18 +4,75 @@ None of these runs in a scenario: ``last_level_crossing`` is the per-path
 reference for the block last-passage kernel, ``future_inf_piece_system``
 feeds one Bessel path with its future infimum to the gluing algorithm, and
 ``emery_conditional_law_rows`` bins the simulated last passage against its
-Azema supermartingale.
+Azema supermartingale.  ``elem_integral_per_piece`` is the elementary
+integral summed piece by piece, f evaluated at both ends of every piece.
+``draw_rows_per_path`` (a new generator per row) and
+``exact_last_passage_full`` (a touch probability on every step) are the
+plain forms of ``paths.draw_rows`` and ``scenarios._exact_last_passage``;
+patched in, they must leave every report byte-identical.
 """
 
 import math
 
 import numpy as np
 
+from filtralab import scenarios
 from filtralab.drifts import h_func
 from filtralab.gluing import PieceSystem, _mask_runs
 from filtralab.grids import GridPath, TimeGrid
 from filtralab.paths import ScaleFunction
+from filtralab.rng import substream
 from filtralab.scenarios import ScenarioConfig, _blocks, _emery_block
+
+
+def elem_integral_per_piece(h, f, t: float) -> float:
+    """sum(d_i * (f(t ^ x_{i+1}) - f(t ^ x_i))) over the pieces with d_i != 0."""
+    x, d = h.breakpoints, h.levels
+    total = 0.0
+    for i, di in enumerate(d):
+        if di != 0.0:
+            total += di * (f.fn(min(t, x[i + 1])) - f.fn(min(t, x[i])))
+    return total
+
+
+def draw_rows_per_path(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.ndarray:
+    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``."""
+    for k in range(len(out)):
+        out[k] = draw(substream(seed, purpose, lo + k))
+    return out
+
+
+def exact_last_passage_full(values, levels, grid, seed, lo):
+    """``scenarios._exact_last_passage`` with the touch probability of every step.
+
+    The uniforms come from ``scenarios._bridge_uniforms``, so a test that
+    substitutes them there feeds the kernel and this oracle the same draws.
+    """
+    f = values - levels[:, None]
+    a, b = f[:, :-1], f[:, 1:]
+    u = scenarios._bridge_uniforms(seed, lo, *a.shape)
+    flip = (a == 0.0) | (b == 0.0) | ((a > 0.0) != (b > 0.0))
+    with np.errstate(under="ignore"):
+        p_touch = np.exp(-2.0 * np.maximum(a * b, 0.0) / grid.dt)
+    visit = flip | (u < p_touch)
+    any_row = visit.any(axis=1)
+    k = visit.shape[1] - 1 - np.argmax(visit[:, ::-1], axis=1)
+    rows = np.arange(len(f))
+    a_star, b_star = a[rows, k], b[rows, k]
+    times = grid.times()
+    t_lo, t_hi = times[k], times[k + 1]
+    is_flip = flip[rows, k]
+    interp = np.where(
+        b_star == 0.0,
+        t_hi,
+        np.where(
+            a_star == 0.0,
+            t_lo,
+            t_lo + grid.dt * (-a_star) / np.where(b_star != a_star, b_star - a_star, 1.0),
+        ),
+    )
+    out = np.where(is_flip, interp, t_hi)
+    return np.where(any_row, out, 0.0)
 
 
 def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:

@@ -339,22 +339,15 @@ class TestExitCodes:
         # on 0, and reflection cannot lift it
         from filtralab import paths
 
-        real = paths.substream
+        real = paths.draw_rows
 
-        def substream(seed, purpose, i=0):
-            gen = real(seed, purpose, i)
-            if purpose != "bes3" or i != 0:
-                return gen
+        def draw_rows(out, seed, purpose, lo, draw):
+            real(out, seed, purpose, lo, draw)
+            if purpose == "bes3" and lo == 0:
+                out[0, 0] = -2.5  # path 0's first normal
+            return out
 
-            class FirstNormal:
-                def standard_normal(self, n):
-                    z = gen.standard_normal(n)
-                    z[0] = -2.5
-                    return z
-
-            return FirstNormal()
-
-        monkeypatch.setattr(paths, "substream", substream)
+        monkeypatch.setattr(paths, "draw_rows", draw_rows)
         # horizon 2.5 keeps pitman's level times h*k/10 on the grid
         cfg = ScenarioConfig(
             scenario="pitman", horizon=2.5, dt=0.25, n_paths=100, seed=3, delta=0.25,

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from filtralab import elemint as ei
 from filtralab.errors import CoverageError, DataError, DomainError
 from filtralab.grids import GridPath, TimeGrid
+from oracles import elem_integral_per_piece
 
 
 def quad_cadlag(a, b, coeffs=(0.0, 1.0, 0.0), jumps=()):
@@ -91,6 +92,19 @@ class TestElemIntegral:
         f = quad_cadlag(0.0, 2.0)
         with pytest.raises(DomainError):
             ei.elem_integral(h, f)
+
+    def test_matches_per_piece_oracle(self):
+        # f is evaluated once per breakpoint; the sum equals the piece-by-piece
+        # form bit for bit, zero levels included
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            h = _random_step(rng, 0.0, 2.0)
+            levels = np.where(rng.random(len(h.levels)) < 0.3, 0.0, h.levels)
+            h = ei.LeftStepFunction(h.breakpoints, tuple(levels))
+            f = _random_cadlag(rng, 0.0, 2.0)
+            out = ei.elem_integral(h, f)
+            for t in rng.uniform(-0.5, 2.5, size=10):
+                assert out(t) == elem_integral_per_piece(h, f, t)
 
     def test_jump_rule(self):
         # jump of the integral at t is h(t) * jump of f

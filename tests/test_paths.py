@@ -4,10 +4,12 @@ The Brownian, supremum, last-passage and Pitman block kernels live in
 ``filtralab.scenarios``; ``paths`` holds the draw helper ``draw_rows`` that
 every block builder fills its per-path draws through, the whole-block Pitman
 construction, the vectorised tail sample of the future infimum, the Euler
-Bessel(3) kernel and bridge extrema; the per-path level crossing is the
-oracle in ``oracles``.  Every builder is checked against its own block
-sliced out of a larger one, and the block Pitman construction against the
-1-D call on each path's own draws.
+Bessel(3) kernel and bridge extrema; the per-path level crossing and the
+per-path draw loop are oracles in ``oracles``.  ``draw_rows`` re-keys one
+generator per row and is checked against a new generator per row, on every
+builder's own draws; every builder is checked against its own block sliced
+out of a larger one, and the block Pitman construction against the 1-D call
+on each path's own draws.
 """
 
 import math
@@ -20,8 +22,8 @@ from filtralab.errors import ConfigurationError, DomainError
 from filtralab.grids import GridPath, TimeGrid
 from filtralab import paths as P
 from filtralab import scenarios as sc
-from filtralab.rng import substream
-from oracles import last_level_crossing
+from filtralab.rng import PURPOSE, substream
+from oracles import draw_rows_per_path, last_level_crossing
 
 
 GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
@@ -96,6 +98,52 @@ class TestDrawRows:
         for k in fields:
             assert np.array_equal(getattr(part, k), getattr(whole, k)[2:5]), k
         assert np.array_equal(part.times, whole.times)
+
+    @pytest.mark.parametrize("lo, rows", [(0, 6), (41, 1), (1000, 5)])
+    def test_every_builder_draw_matches_new_generators(self, monkeypatch, lo, rows):
+        # each draw_rows call the builders make, re-run against a new
+        # substream per row, bit for bit
+        calls = []
+
+        def spy(draw_rows):
+            def wrapped(out, seed, purpose, lo_, draw):
+                want = draw_rows_per_path(np.empty_like(out), seed, purpose, lo_, draw)
+                got = draw_rows(out, seed, purpose, lo_, draw)
+                calls.append((purpose, out.shape, np.array_equal(got, want)))
+                return got
+            return wrapped
+
+        monkeypatch.setattr(sc, "draw_rows", spy(P.draw_rows))
+        monkeypatch.setattr(P, "draw_rows", spy(P.draw_rows))
+        for scenario, builder, method in [
+            ("bridge", "_bridge_block", "pitman-construction"),
+            ("supremum", "_supremum_block", "pitman-construction"),
+            ("emery-before", "_emery_block", "pitman-construction"),
+            ("honest", "_honest_block", "pitman-construction"),
+            ("pitman", "_pitman_block", "pitman-construction"),
+            ("pitman", "_pitman_block", "euler-sde"),
+        ]:
+            cfg = sc.ScenarioConfig(scenario=scenario, dt=0.05, seed=7, bes_method=method)
+            getattr(sc, builder)(cfg, cfg.grid(), lo, lo + rows)
+        assert {purpose for purpose, _, _ in calls} == set(PURPOSE)
+        assert all(shape[0] == rows for _, shape, _ in calls)
+        assert [c for c in calls if not c[2]] == []
+
+    @pytest.mark.parametrize(
+        "width, draw",
+        [
+            # a lone uniform and five normals end a row with Philox's
+            # four-word buffer half used
+            (6, lambda g: np.concatenate(([g.uniform()], g.standard_normal(5)))),
+            # an odd count of 32-bit integers ends it with half a word kept
+            (3, lambda g: g.integers(0, 1000, size=3, dtype=np.uint32)),
+        ],
+        ids=["uniform-then-normals", "uint32"],
+    )
+    def test_half_used_buffer_is_not_carried_over(self, width, draw):
+        out = P.draw_rows(np.empty((3, width)), 9, "bes3", 30, draw)
+        for k in range(3):
+            assert np.array_equal(out[k], draw(substream(9, "bes3", 30 + k)))
 
 
 class TestSimulateBes3:
@@ -213,10 +261,16 @@ class TestFutureInfimum:
             def standard_normal(self, n):
                 return np.zeros(n)
 
-        # a block of one path; the draw helper reads its substreams from ``paths``
+        def zero_rows(out, seed, purpose, lo, draw):
+            # the builder's own draw of every row, made on a generator of zeros
+            for k in range(len(out)):
+                out[k] = draw(Zeros())
+            return out
+
+        # a block of one path
         monkeypatch.setattr(sc, "pitman_from_draws", lambda *a: np.array([[3.0, 2.0, 5.0]]))
         monkeypatch.setattr(sc, "reciprocal_scale", FixedTail)
-        monkeypatch.setattr(P, "substream", lambda *a: Zeros())
+        monkeypatch.setattr(sc, "draw_rows", zero_rows)
         cfg = sc.ScenarioConfig(scenario="pitman", dt=0.5, seed=1)
         ctx = sc._pitman_block(cfg, TimeGrid(0.0, 0.5, 2), 0, 1)
         assert np.array_equal(ctx.I[0], [2.0, 2.0, 4.0])

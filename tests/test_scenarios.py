@@ -10,9 +10,16 @@ import pytest
 from filtralab.drifts import emery_Z, honest_Z
 from filtralab.errors import ConfigurationError
 from filtralab.grids import GridPath, TimeGrid
+from filtralab.cli import emit_report
 from filtralab.rng import substream
+from filtralab import paths as P
 from filtralab import scenarios as sc
-from oracles import future_inf_piece_system, last_level_crossing
+from oracles import (
+    draw_rows_per_path,
+    exact_last_passage_full,
+    future_inf_piece_system,
+    last_level_crossing,
+)
 
 
 def _dZ_dw(Z, w, t, eps=1e-6):
@@ -77,6 +84,35 @@ class TestBlockKernels:
             flip = last_level_crossing(GridPath(grid, vals[i]), 0.0, 1.0)
             assert exact[i] >= flip - 1e-12
 
+    def test_exact_last_passage_matches_full_matrix_oracle(self, monkeypatch):
+        # adversarial blocks, on half the steps with the smallest 1 - U there is
+        # (2^-53, where a touch is likeliest): grid values exactly at the level,
+        # and same-side steps whose a*b sits at, just below and just above 20*dt
+        grid = TimeGrid(0.0, 0.01, 40)
+        cut = 20.0 * grid.dt
+        rng = np.random.default_rng(11)
+        levels = np.where(np.arange(300) < 150, 0.0, rng.normal(0.0, 0.5, 300))
+        root = math.sqrt(cut)
+        sizes = np.array([0.5, 2.0 * cut, root, 0.95 * root, 0.99 * root, 1.01 * root])
+        f = rng.choice(sizes, size=(300, 41)) * rng.choice([-1.0, 1.0], size=(300, 1))
+        f[rng.random(f.shape) < 0.05] = 0.0
+        f[-50:] = rng.normal(0.0, 0.3, size=(50, 41))  # walks that flip
+        vals = levels[:, None] + f
+        g = vals - levels[:, None]
+        ab = g[:, :-1] * g[:, 1:]
+        assert np.any(ab == cut) and np.any((ab > 0.9 * cut) & (ab < cut))
+        assert np.any(vals == levels[:, None])
+
+        def uniforms(u):
+            monkeypatch.setattr(sc, "_bridge_uniforms", lambda seed, lo, nb, n: u.copy())
+
+        uniforms(np.ones((300, 40)))
+        no_touch = exact_last_passage_full(vals, levels, grid, seed=0, lo=0)
+        uniforms(np.where(rng.random((300, 40)) < 0.5, 2.0**-53, 1.0 - rng.random((300, 40))))
+        want = exact_last_passage_full(vals, levels, grid, seed=0, lo=0)
+        assert np.any(want != no_touch)
+        assert np.array_equal(sc._exact_last_passage(vals, levels, grid, seed=0, lo=0), want)
+
     def test_exact_last_passage_deterministic(self):
         grid = TimeGrid(0.0, 0.05, 20)
         rng = np.random.default_rng(5)
@@ -128,11 +164,14 @@ class TestCandidateConsistency:
             assert np.allclose(x[i], want, atol=1e-6)
 
     def test_honest_rate_parts_vs_azema(self):
+        # over the columns the block loop gives the rates: up to the last checkpoint
         cfg = sc.ScenarioConfig(scenario="honest", dt=0.01, n_paths=200, seed=8)
         grid = cfg.grid()
-        ctx = sc._honest_block(cfg, grid, 0, 6)
-        w, t_left = ctx.W[:, :-1], grid.times()[None, :-1]
+        last = grid.index_of(0.9)
+        ctx = sc._honest_block(cfg, grid, 0, 6).head(last)
+        w, t_left = ctx.W[:, :-1], grid.times()[None, :last]
         dndw, z = sc._honest_rate_parts(ctx)
+        assert z.shape == dndw.shape == (6, last)
         assert np.allclose(z, honest_Z(w, t_left), atol=1e-12)
         assert np.allclose(dndw, _dZ_dw(honest_Z, w, t_left), atol=1e-6)
 
@@ -198,6 +237,43 @@ class TestFunctionalCatalog:
         vals = w1_func.values(ctx, si)
         hidden = ctx.xi > s - cfg.delta
         assert np.all(vals[hidden] == 0.0)
+
+
+class TestSuiteFromBlocks:
+    def test_no_entries_is_a_config_error(self):
+        # an empty run must not come out as a vacuous PASS
+        cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=100, seed=1)
+        with pytest.raises(ConfigurationError, match="no suite entries"):
+            sc._suite_from_blocks(cfg, sc._bridge_block, [])
+        no_functionals = ("", sc._bridge_candidate, lambda s, t: [], [(0.2, 0.4)])
+        with pytest.raises(ConfigurationError, match="no suite entries"):
+            sc._suite_from_blocks(cfg, sc._bridge_block, [no_functionals])
+
+
+@pytest.mark.parametrize(
+    "scenario, method",
+    [(name, "pitman-construction") for name in sc._STATISTICAL] + [("pitman", "euler-sde")],
+)
+def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
+    """Corrected and control reports are byte-identical with the per-path draw
+    loop and the full-matrix last passage patched in (three blocks, so rows
+    are re-keyed from lo = 0, 128 and 256)."""
+
+    def reports(tag):
+        out = []
+        for control in (False, True):
+            cfg = sc.ScenarioConfig(scenario=scenario, dt=0.01, n_paths=300, seed=5,
+                                    block_size=128, no_correction=control, bes_method=method)
+            path = tmp_path / f"{tag}-{control}.csv"
+            emit_report(sc.run_scenario(cfg), "csv", str(path))
+            out.append(path.read_bytes())
+        return out
+
+    fast = reports("fast")
+    monkeypatch.setattr(sc, "draw_rows", draw_rows_per_path)
+    monkeypatch.setattr(P, "draw_rows", draw_rows_per_path)
+    monkeypatch.setattr(sc, "_exact_last_passage", exact_last_passage_full)
+    assert reports("oracle") == fast
 
 
 class TestTraceHooks:
