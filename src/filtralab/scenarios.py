@@ -3,9 +3,10 @@
 Each statistical scenario simulates an ensemble in path blocks, builds one
 or more candidate martingales (drift-corrected unless the negative control
 is requested), evaluates the functional family at the checkpoints, and
-reduces everything through shard-safe moment accumulators; one block loop,
-``_suite_from_blocks``, runs them all.  Per-path substreams make the result
-independent of the block schedule.
+reduces everything through shard-safe moment accumulators.  Each one is a
+``Scenario`` record in ``_RECORDS``, built per run, and one driver,
+``_drive``, runs them all.  Per-path substreams make the result independent
+of the block schedule.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erfc
@@ -61,18 +63,6 @@ _DAMP_SCALE = 0.3
 # The after-side candidates integrate only steps ending by this time.
 _AFTER_CAP = 0.9
 
-_STATISTICAL = (
-    "bridge",
-    "supremum",
-    "emery-before",
-    "emery-after",
-    "honest",
-    "pitman",
-)
-_DETERMINISTIC = ("glue-demo", "elemint-check")
-# Scenarios whose random times and drifts are defined on [0, 1].
-_UNIT_HORIZON = ("bridge", "emery-before", "emery-after", "honest")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -92,7 +82,7 @@ class ScenarioConfig:
     bes_method: str = "pitman-construction"
 
     def validated(self) -> "ScenarioConfig":
-        if self.scenario not in _STATISTICAL + _DETERMINISTIC:
+        if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"unknown format {self.format!r}")
@@ -102,11 +92,12 @@ class ScenarioConfig:
             )
         if self.block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
-        if self.scenario in _DETERMINISTIC:
+        if self.scenario not in _RECORDS:
             return self
         if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
             raise ConfigurationError("dt and horizon must be finite and positive")
-        if self.scenario in _UNIT_HORIZON and self.horizon != 1.0:
+        rec = _RECORDS[self.scenario](self)
+        if rec.unit_horizon and self.horizon != 1.0:
             raise ConfigurationError(f"the {self.scenario} scenario is defined on horizon 1")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
@@ -117,9 +108,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"delta = {self.delta} must be >= dt = {self.dt} and < horizon = {self.horizon}"
             )
-        # the last step a correction window can hold ends at this time
-        window_end = {"bridge": self.horizon, "emery-after": _AFTER_CAP, "honest": _AFTER_CAP}
-        end = window_end.get(self.scenario)
+        end = rec.window_end
         if end is not None and self.delta > end - self.dt + 1e-12:
             raise ConfigurationError(
                 f"delta = {self.delta} leaves the {self.scenario} correction window "
@@ -131,6 +120,15 @@ class ScenarioConfig:
             )
         if self.bes_method not in ("pitman-construction", "euler-sde"):
             raise ConfigurationError(f"unknown bes_method {self.bes_method!r}")
+        grid = self.grid()
+        for t in rec.times():
+            try:
+                grid.index_of(t)
+            except ConfigurationError:
+                raise ConfigurationError(
+                    f"{self.scenario} checkpoint t = {t:g} is not a multiple of dt = {self.dt:g}; "
+                    "dt must divide every checkpoint time of the scenario"
+                ) from None
         return self
 
     def grid(self) -> TimeGrid:
@@ -177,9 +175,49 @@ class BlockContext:
         })
 
 
-def _blocks(n_paths: int, block_size: int):
-    for lo in range(0, n_paths, block_size):
-        yield lo, min(lo + block_size, n_paths)
+class Leg(NamedTuple):
+    """One candidate of a scenario and the entries tested on it.
+
+    ``candidate(cfg, ctx)`` is the process matrix of a block, and
+    ``functionals(s, t)`` lists the functionals tested on its increment
+    over each checkpoint (s, t); entry ids start with ``prefix``.
+    """
+
+    prefix: str
+    candidate: Callable
+    functionals: Callable
+    checkpoints: tuple
+
+
+class Levels(NamedTuple):
+    """Per-path values ``values(ctx, ti)`` reduced at each of ``times`` by
+    corrected runs, outside the suite: each entry is judged on its own at
+    |z| <= 3."""
+
+    id: str
+    times: tuple
+    values: Callable
+
+
+class Scenario(NamedTuple):
+    """One statistical scenario: ``block(cfg, grid, lo, hi)`` builds the
+    BlockContext of paths [lo, hi), and each leg is tested on it.
+
+    ``unit_horizon`` marks a scenario defined on [0, 1] only, and
+    ``window_end`` the time by which the last step of its correction window
+    ends (None: no window rule).
+    """
+
+    block: Callable
+    legs: tuple
+    unit_horizon: bool = False
+    window_end: float | None = None
+    levels: Levels | None = None
+
+    def times(self) -> list:
+        """The times whose grid columns a run reads; each must be a grid time."""
+        cps = [x for leg in self.legs for st in leg.checkpoints for x in st]
+        return cps + list(self.levels.times if self.levels else ())
 
 
 def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -246,7 +284,7 @@ def _exact_last_passage(
 
 
 # ---------------------------------------------------------------------------
-# functional catalog and the block loop
+# functional catalog and the driver
 # ---------------------------------------------------------------------------
 
 
@@ -264,54 +302,53 @@ def _base_functionals() -> list:
     return [_f_const(), _f_sign_level(-0.5), _f_sign_level(0.0), _f_sign_level(0.5)]
 
 
-def _checkpoint_index(cfg: ScenarioConfig, grid: TimeGrid, t: float) -> int:
-    try:
-        return grid.index_of(t)
-    except ConfigurationError:
-        raise ConfigurationError(
-            f"{cfg.scenario} checkpoint t = {t:g} is not a multiple of dt = {cfg.dt:g}; "
-            "dt must divide every checkpoint time of the scenario"
-        ) from None
+def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
+    """Run every block through every leg of ``rec`` and reduce into one
+    Bonferroni suite, plus the record's level entries.
 
-
-def _suite_from_blocks(
-    cfg: ScenarioConfig, make_block, legs, block_hook=None
-) -> MartingaleTestReport:
-    """Run every block through every leg and reduce into one Bonferroni suite.
-
-    ``make_block(cfg, grid, lo, hi)`` builds the BlockContext of paths
-    [lo, hi).  Each leg is (key prefix, candidate, functional factory,
-    checkpoints): ``candidate(cfg, ctx)`` is the process matrix of the
-    block, and ``factory(s, t)`` lists the functionals tested on its
-    increment over each checkpoint (s, t).  ``block_hook(ctx)`` sees every
-    block for reductions outside the suite.  Candidates, functionals and
-    the hook see the block up to the last checkpoint's column only; no
-    entry reads a later one.  A run that gathers no entry is refused.
+    Candidates, functionals and levels see the block up to the last column
+    any of them reads; no entry reads a later one.  A run that gathers no
+    suite entry is refused.
     """
     grid = cfg.grid()
     accs: dict = defaultdict(MomentAccumulator)
     legs = [
-        (prefix, candidate, factory,
-         [(s, t, _checkpoint_index(cfg, grid, s), _checkpoint_index(cfg, grid, t))
-          for s, t in checkpoints])
-        for prefix, candidate, factory, checkpoints in legs
+        (leg, [(s, t, grid.index_of(s), grid.index_of(t)) for s, t in leg.checkpoints])
+        for leg in rec.legs
     ]
-    last = max((ti for *_, idx in legs for *_, ti in idx), default=grid.n)
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = make_block(cfg, grid, lo, hi).head(last)
-        for prefix, candidate, factory, idx in legs:
-            x = candidate(cfg, ctx)
+    levels = {} if rec.levels is None or cfg.no_correction else {
+        t: MomentAccumulator() for t in rec.levels.times
+    }
+    last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
+    for lo in range(0, cfg.n_paths, cfg.block_size):
+        ctx = rec.block(cfg, grid, lo, min(lo + cfg.block_size, cfg.n_paths)).head(last)
+        for leg, idx in legs:
+            x = leg.candidate(cfg, ctx)
             for s, t, si, ti in idx:
                 inc = x[:, ti] - x[:, si]
-                for f in factory(s, t):
-                    accs[(s, t, prefix + f.id)].add(inc * f.values(ctx, si))
+                for f in leg.functionals(s, t):
+                    accs[(s, t, leg.prefix + f.id)].add(inc * f.values(ctx, si))
             del x  # the next candidate is built without this one alive
-        if block_hook is not None:
-            block_hook(ctx)
+        for t, acc in levels.items():
+            acc.add(rec.levels.values(ctx, grid.index_of(t)))
         del ctx  # and the next block without this one
     if not accs:
         raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
-    return martingale_suite(accs, cfg.threshold)
+    extra = []
+    for t, acc in sorted(levels.items()):
+        mean, stderr, z = acc.stats()
+        extra.append(SuiteEntry(0.0, t, rec.levels.id, mean, stderr, z, acc.n, abs(z) <= 3.0))
+    return ScenarioResult(cfg.scenario, martingale_suite(accs, cfg.threshold), tuple(extra))
+
+
+def _chain(*pts) -> tuple:
+    """The checkpoints (p0, p1), (p1, p2), ... of consecutive times."""
+    return tuple(zip(pts, pts[1:]))
+
+
+def _pairs(*pts) -> tuple:
+    """Every checkpoint (s, t) with s < t among the times."""
+    return tuple((s, t) for s in pts for t in pts if s < t)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +375,10 @@ def _bridge_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     return ctx.W - cumulative(rate * (cfg.dt * window)[None, :])
 
 
-def run_bridge(cfg: ScenarioConfig) -> ScenarioResult:
-    pts = [0.2, 0.4, 0.6, 0.8]
-    checkpoints = [(s, t) for s in pts for t in pts if s < t]
-    funcs = _base_functionals() + [
+def _bridge_functionals() -> list:
+    return _base_functionals() + [
         TestFunctional("sign(W1-W)", lambda ctx, si: np.sign(ctx.W1 - ctx.W[:, si]))
     ]
-    report = _suite_from_blocks(
-        cfg, _bridge_block, [("", _bridge_candidate, lambda s, t: funcs, checkpoints)]
-    )
-    return ScenarioResult("bridge", report)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +395,8 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     that contains them (midpoint convention) and censored entries get one
     exact post-horizon first-passage draw, made on every path (U_h > W_h a.s.).
     """
+    # imported per call, not at the top, so that a wrapper put on
+    # paths._bridge_max (the benchmark's per-layer trace) is the one called
     from .paths import _bridge_max
 
     w = _brownian_block(grid, cfg.seed, lo, hi)
@@ -402,44 +435,33 @@ def _supremum_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     return m - cumulative(rate * cfg.dt)
 
 
-def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
-    grid = cfg.grid()
-    h = cfg.horizon
-    pts = [0.2 * h, 0.4 * h, 0.6 * h, 0.8 * h]
-    checkpoints = [(s, t) for s in pts for t in pts if s < t]
+def _supremum_functionals(cfg: ScenarioConfig, t: float) -> list:
+    """Functionals masked to paths with no record time before t + delta."""
 
-    def factory(s: float, t: float) -> list:
-        si = grid.index_of(s)
+    def record_free(ctx: BlockContext, si: int) -> np.ndarray:
+        return (ctx.Ttimes[:, si] >= t + cfg.delta).astype(float)
 
-        def record_free(ctx: BlockContext) -> np.ndarray:
-            return (ctx.Ttimes[:, si] >= t + cfg.delta).astype(float)
+    def masked(fn):
+        return lambda ctx, si: record_free(ctx, si) * fn(ctx, si)
 
-        def masked(fn):
-            return lambda ctx, si_: record_free(ctx) * fn(ctx, si_)
-
-        return [
-            TestFunctional("recfree", lambda ctx, si_: record_free(ctx)),
-            TestFunctional("recfree*tanh(U)", masked(lambda ctx, si_: np.tanh(ctx.U[:, si_]))),
-            TestFunctional(
-                "recfree*tanh(U-W)",
-                masked(lambda ctx, si_: np.tanh(ctx.U[:, si_] - ctx.W[:, si_])),
+    return [
+        TestFunctional("recfree", record_free),
+        TestFunctional("recfree*tanh(U)", masked(lambda ctx, si: np.tanh(ctx.U[:, si]))),
+        TestFunctional(
+            "recfree*tanh(U-W)",
+            masked(lambda ctx, si: np.tanh(ctx.U[:, si] - ctx.W[:, si])),
+        ),
+        TestFunctional(
+            "recfree*ratio",
+            masked(
+                lambda ctx, si: np.minimum(
+                    1.0,
+                    (ctx.U[:, si] - ctx.W[:, si]) ** 2
+                    / np.maximum(ctx.Ttimes[:, si] - ctx.times[si], 1e-300),
+                )
             ),
-            TestFunctional(
-                "recfree*ratio",
-                masked(
-                    lambda ctx, si_: np.minimum(
-                        1.0,
-                        (ctx.U[:, si_] - ctx.W[:, si_]) ** 2
-                        / np.maximum(ctx.Ttimes[:, si_] - ctx.times[si_], 1e-300),
-                    )
-                ),
-            ),
-        ]
-
-    report = _suite_from_blocks(
-        cfg, _supremum_block, [("", _supremum_candidate, factory, checkpoints)]
-    )
-    return ScenarioResult("supremum", report)
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +472,15 @@ def run_supremum(cfg: ScenarioConfig) -> ScenarioResult:
 def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
     """W stopped at the last passage ``tau`` at ``level``, progressively corrected.
 
-    The stopped value is the level itself.  The drift rate dNdW/Z_- comes
-    from ``rate_parts(ctx)`` = (dNdW, Z) at the left endpoints and is
-    integrated up to tau; the step straddling tau picks up the partial
-    contribution rate * (tau - t_k), so the stopped process stays unbiased.
+    From tau on, the stopped value is the level itself, also where tau is a
+    grid time.  The drift rate dNdW/Z_- comes from ``rate_parts(ctx)`` =
+    (dNdW, Z) at the left endpoints and is integrated up to tau; the step
+    straddling tau picks up the partial contribution rate * (tau - t_k), so
+    the stopped process stays unbiased.
     """
     t = ctx.times
     if cfg.no_correction:
-        return np.where(t[None, :] <= tau[:, None], ctx.W, level)
+        return np.where(t[None, :] < tau[:, None], ctx.W, level)
     dndw, z = rate_parts(ctx)
     # stopped - cumulative(rate * dt_eff), with rate = dNdW / max(Z, 1e-300)
     # (Z and dNdW underflow together), in place and one temporary at a time
@@ -468,7 +491,7 @@ def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
     del dt_eff
     drift = cumulative(rate)
     del rate
-    stopped = np.where(t[None, :] <= tau[:, None], ctx.W, level)
+    stopped = np.where(t[None, :] < tau[:, None], ctx.W, level)
     return np.subtract(stopped, drift, out=drift)
 
 
@@ -504,6 +527,43 @@ def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     phi *= inc
     del inc
     return cumulative(phi)
+
+
+def _before_functionals(field: str) -> list:
+    """The base functionals and two indicators of whether the last passage
+    ``field`` (xi or g) has come by the grid time of s."""
+
+    def not_yet(ctx: BlockContext, si: int) -> np.ndarray:
+        return (getattr(ctx, field) > ctx.times[si]).astype(float)
+
+    return _base_functionals() + [
+        TestFunctional(f"1[{field}<=s]", lambda ctx, si: 1.0 - not_yet(ctx, si)),
+        TestFunctional(
+            f"sign(W)*1[{field}>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx, si)
+        ),
+    ]
+
+
+def _after_functionals(field: str, cfg: ScenarioConfig, s: float) -> list:
+    """Functionals masked to paths whose last passage ``field`` came by
+    s - delta; emery's (xi) also read W1 and its avoided level W1/2."""
+
+    def mask(ctx: BlockContext) -> np.ndarray:
+        return (getattr(ctx, field) <= s - cfg.delta).astype(float)
+
+    funcs = [
+        TestFunctional(f"1[{field}<=s-d]", lambda ctx, si: mask(ctx)),
+        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
+    ]
+    if field == "xi":
+        funcs += [
+            TestFunctional("mask*sign(W1)", lambda ctx, si: mask(ctx) * np.sign(ctx.W1)),
+            TestFunctional(
+                "mask*sign(W-W1/2)",
+                lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si] - ctx.W1 / 2.0),
+            ),
+        ]
+    return funcs
 
 
 # ---------------------------------------------------------------------------
@@ -549,59 +609,6 @@ def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray
         return out
 
     return _damped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], rate)
-
-
-def _emery_before_functionals(cfg: ScenarioConfig, s: float) -> list:
-    def not_yet(ctx: BlockContext) -> np.ndarray:
-        si = ctx.grid.index_of(s)
-        return (ctx.xi > ctx.times[si]).astype(float)
-
-    return _base_functionals() + [
-        TestFunctional("1[xi<=s]", lambda ctx, si: 1.0 - not_yet(ctx)),
-        TestFunctional("sign(W)*1[xi>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx)),
-    ]
-
-
-def _emery_after_functionals(cfg: ScenarioConfig, s: float) -> list:
-    def mask(ctx: BlockContext) -> np.ndarray:
-        return (ctx.xi <= s - cfg.delta).astype(float)
-
-    return [
-        TestFunctional("1[xi<=s-d]", lambda ctx, si: mask(ctx)),
-        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
-        TestFunctional("mask*sign(W1)", lambda ctx, si: mask(ctx) * np.sign(ctx.W1)),
-        TestFunctional(
-            "mask*sign(W-W1/2)",
-            lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si] - ctx.W1 / 2.0),
-        ),
-    ]
-
-
-def run_emery_before(cfg: ScenarioConfig) -> ScenarioResult:
-    pts = [0.1, 0.3, 0.5, 0.7, 0.9]
-    checkpoints = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)] + [
-        (0.1, 0.5),
-        (0.5, 0.9),
-    ]
-    report = _suite_from_blocks(
-        cfg,
-        _emery_block,
-        [("", _emery_before_candidate,
-          lambda s, t: _emery_before_functionals(cfg, s), checkpoints)],
-    )
-    return ScenarioResult("emery-before", report)
-
-
-def run_emery_after(cfg: ScenarioConfig) -> ScenarioResult:
-    pts = [0.3, 0.5, 0.7, 0.9]
-    checkpoints = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)] + [(0.3, 0.9)]
-    report = _suite_from_blocks(
-        cfg,
-        _emery_block,
-        [("", _emery_after_candidate,
-          lambda s, t: _emery_after_functionals(cfg, s), checkpoints)],
-    )
-    return ScenarioResult("emery-after", report)
 
 
 # ---------------------------------------------------------------------------
@@ -666,45 +673,6 @@ def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarra
     return _damped_candidate(cfg, ctx, ctx.g, 0.0, rate)
 
 
-def _honest_before_functionals(cfg: ScenarioConfig, s: float) -> list:
-    def not_yet(ctx: BlockContext) -> np.ndarray:
-        return (ctx.g > s).astype(float)
-
-    return _base_functionals() + [
-        TestFunctional("1[g<=s]", lambda ctx, si: 1.0 - not_yet(ctx)),
-        TestFunctional("sign(W)*1[g>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx)),
-    ]
-
-
-def _honest_after_functionals(cfg: ScenarioConfig, s: float) -> list:
-    def mask(ctx: BlockContext) -> np.ndarray:
-        return (ctx.g <= s - cfg.delta).astype(float)
-
-    return [
-        TestFunctional("1[g<=s-d]", lambda ctx, si: mask(ctx)),
-        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
-    ]
-
-
-def run_honest(cfg: ScenarioConfig) -> ScenarioResult:
-    """Two-sided honest-time suite: stopped-corrected before, masked after."""
-    before_pts = [0.1, 0.3, 0.5, 0.7, 0.9]
-    before_cps = [(before_pts[i], before_pts[i + 1]) for i in range(4)] + [(0.1, 0.9)]
-    after_pts = [0.3, 0.5, 0.7, 0.9]
-    after_cps = [(after_pts[i], after_pts[i + 1]) for i in range(3)] + [(0.3, 0.9)]
-    report = _suite_from_blocks(
-        cfg,
-        _honest_block,
-        [
-            ("pre|", _honest_before_candidate,
-             lambda s, t: _honest_before_functionals(cfg, s), before_cps),
-            ("post|", _honest_after_candidate,
-             lambda s, t: _honest_after_functionals(cfg, s), after_cps),
-        ],
-    )
-    return ScenarioResult("honest", report)
-
-
 # ---------------------------------------------------------------------------
 # pitman: future-infimum enlargement of the Bessel(3) process
 # ---------------------------------------------------------------------------
@@ -736,40 +704,22 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
     return BlockContext(grid, grid.times(), r, I=inf_path, transform=2.0 * inf_path - r)
 
 
-def run_pitman(cfg: ScenarioConfig) -> ScenarioResult:
-    """Certify that twice the future infimum minus the Bessel path is a martingale."""
-    grid = cfg.grid()
-    h = cfg.horizon
-    level_ts = [round(h * k / 10.0, 12) for k in range(1, 11)]
-    checkpoints = [(level_ts[i], level_ts[i + 1]) for i in range(9)]
+def _pitman_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
+    """Twice the future infimum minus the Bessel path; the negative control
+    drops the infimum information entirely."""
+    return ctx.W if cfg.no_correction else ctx.transform
 
-    funcs = [
+
+def _pitman_functionals() -> list:
+    return [
         _f_const(),
         TestFunctional("min(I,2)/2", lambda ctx, si: np.minimum(ctx.I[:, si], 2.0) / 2.0),
     ]
-    level_accs: dict = {t: MomentAccumulator() for t in [0.0] + level_ts}
 
-    def hook(ctx: BlockContext) -> None:
-        if cfg.no_correction:
-            return
-        for t, acc in level_accs.items():
-            acc.add(ctx.transform[:, grid.index_of(t)])
 
-    def candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-        # the negative control drops the infimum information entirely
-        return ctx.W if cfg.no_correction else ctx.transform
-
-    report = _suite_from_blocks(
-        cfg, _pitman_block, [("", candidate, lambda s, t: funcs, checkpoints)], hook
-    )
-    extra = []
-    if not cfg.no_correction:
-        for t, acc in sorted(level_accs.items()):
-            mean, stderr, z = acc.stats()
-            extra.append(
-                SuiteEntry(0.0, t, "level:2I-R", mean, stderr, z, acc.n, abs(z) <= 3.0)
-            )
-    return ScenarioResult("pitman", report, tuple(extra))
+def _tenths(h: float) -> tuple:
+    """The times h/10, 2h/10, ..., h."""
+    return tuple(round(h * k / 10.0, 12) for k in range(1, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +847,60 @@ def _random_elemint_case(rng: np.random.Generator):
     return f, h, g, c
 
 
+# The statistical scenarios, one record each.  A record is built when a run
+# starts, never at import: its fields then hold the kernels the module's
+# globals hold at that time.
+_RECORDS = {
+    "bridge": lambda cfg: Scenario(
+        _bridge_block,
+        (Leg("", _bridge_candidate, lambda s, t: _bridge_functionals(),
+             _pairs(0.2, 0.4, 0.6, 0.8)),),
+        unit_horizon=True,
+        window_end=1.0,
+    ),
+    "supremum": lambda cfg: Scenario(
+        _supremum_block,
+        (Leg("", _supremum_candidate, lambda s, t: _supremum_functionals(cfg, t),
+             _pairs(*(k * cfg.horizon for k in (0.2, 0.4, 0.6, 0.8)))),),
+    ),
+    "emery-before": lambda cfg: Scenario(
+        _emery_block,
+        (Leg("", _emery_before_candidate, lambda s, t: _before_functionals("xi"),
+             _chain(0.1, 0.3, 0.5, 0.7, 0.9) + ((0.1, 0.5), (0.5, 0.9))),),
+        unit_horizon=True,
+    ),
+    "emery-after": lambda cfg: Scenario(
+        _emery_block,
+        (Leg("", _emery_after_candidate, lambda s, t: _after_functionals("xi", cfg, s),
+             _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),)),),
+        unit_horizon=True,
+        window_end=_AFTER_CAP,
+    ),
+    "honest": lambda cfg: Scenario(
+        _honest_block,
+        (Leg("pre|", _honest_before_candidate, lambda s, t: _before_functionals("g"),
+             _chain(0.1, 0.3, 0.5, 0.7, 0.9) + ((0.1, 0.9),)),
+         Leg("post|", _honest_after_candidate, lambda s, t: _after_functionals("g", cfg, s),
+             _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),))),
+        unit_horizon=True,
+        window_end=_AFTER_CAP,
+    ),
+    "pitman": lambda cfg: Scenario(
+        _pitman_block,
+        (Leg("", _pitman_candidate, lambda s, t: _pitman_functionals(),
+             _chain(*_tenths(cfg.horizon))),),
+        levels=Levels("level:2I-R", (0.0,) + _tenths(cfg.horizon),
+                      lambda ctx, ti: ctx.transform[:, ti]),
+    ),
+}
+
+
+def _run_statistical(cfg: ScenarioConfig) -> ScenarioResult:
+    return _drive(cfg, _RECORDS[cfg.scenario](cfg))
+
+
 SCENARIOS = {
-    "bridge": run_bridge,
-    "supremum": run_supremum,
-    "emery-before": run_emery_before,
-    "emery-after": run_emery_after,
-    "honest": run_honest,
-    "pitman": run_pitman,
+    **dict.fromkeys(_RECORDS, _run_statistical),
     "glue-demo": run_glue_demo,
     "elemint-check": run_elemint_check,
 }

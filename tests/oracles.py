@@ -22,7 +22,7 @@ from filtralab.gluing import PieceSystem, _mask_runs
 from filtralab.grids import GridPath, TimeGrid
 from filtralab.paths import ScaleFunction
 from filtralab.rng import substream
-from filtralab.scenarios import ScenarioConfig, _blocks, _emery_block
+from filtralab.scenarios import ScenarioConfig, _emery_block
 
 
 def elem_integral_per_piece(h, f, t: float) -> float:
@@ -134,8 +134,8 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     grid = cfg.grid()
     ti = grid.index_of(t_check)
     ys, alive = [], []
-    for lo, hi in _blocks(cfg.n_paths, cfg.block_size):
-        ctx = _emery_block(cfg, grid, lo, hi)
+    for lo in range(0, cfg.n_paths, cfg.block_size):
+        ctx = _emery_block(cfg, grid, lo, min(lo + cfg.block_size, cfg.n_paths))
         ys.append(np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check))
         alive.append(ctx.xi > t_check)
     y = np.concatenate(ys)

@@ -3,6 +3,7 @@
 import importlib
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestCandidateConsistency:
             z_i = emery_Z(ctx.W[i, :-1], t[:-1])
             rate = _dZ_dw(emery_Z, ctx.W[i, :-1], t[:-1]) / z_i
             dt_eff = np.clip(ctx.xi[i] - t[:-1], 0.0, cfg.dt)
-            stopped = np.where(t <= ctx.xi[i], ctx.W[i], ctx.W1[i] / 2.0)
+            stopped = np.where(t < ctx.xi[i], ctx.W[i], ctx.W1[i] / 2.0)
             want = stopped - np.concatenate([[0.0], np.cumsum(rate * dt_eff)])
             assert np.allclose(x[i], want, atol=1e-6)
 
@@ -232,27 +233,79 @@ class TestFunctionalCatalog:
         ctx = sc._emery_block(cfg, grid, 0, 300)
         s = 0.5
         si = grid.index_of(s)
-        funcs = sc._emery_after_functionals(cfg, s)
+        funcs = sc._after_functionals("xi", cfg, s)
         w1_func = [f for f in funcs if f.id == "mask*sign(W1)"][0]
         vals = w1_func.values(ctx, si)
         hidden = ctx.xi > s - cfg.delta
         assert np.all(vals[hidden] == 0.0)
 
 
-class TestSuiteFromBlocks:
+class TestDrive:
     def test_no_entries_is_a_config_error(self):
         # an empty run must not come out as a vacuous PASS
         cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=100, seed=1)
         with pytest.raises(ConfigurationError, match="no suite entries"):
-            sc._suite_from_blocks(cfg, sc._bridge_block, [])
-        no_functionals = ("", sc._bridge_candidate, lambda s, t: [], [(0.2, 0.4)])
+            sc._drive(cfg, sc.Scenario(sc._bridge_block, ()))
+        no_functionals = sc.Leg("", sc._bridge_candidate, lambda s, t: [], ((0.2, 0.4),))
         with pytest.raises(ConfigurationError, match="no suite entries"):
-            sc._suite_from_blocks(cfg, sc._bridge_block, [no_functionals])
+            sc._drive(cfg, sc.Scenario(sc._bridge_block, (no_functionals,)))
+
+
+@pytest.mark.parametrize("name", list(sc._RECORDS))
+def test_record_rules_are_validated(capsys, name):
+    """The checkpoint, horizon and window rules each record states are
+    enforced at config time, for exactly the records that state them."""
+    from filtralab.cli import main
+
+    rec = sc._RECORDS[name](sc.ScenarioConfig(scenario=name))
+    # dt = 0.25 divides the horizon but not the first checkpoint time
+    assert main(["--scenario", name, "--dt", "0.25", "--delta", "0.25", "--n-paths", "100"]) == 2
+    captured = capsys.readouterr()
+    t = next(x for x in rec.times() if x % 0.25)
+    assert captured.out == ""
+    assert captured.err == (
+        f"filtralab: {name} checkpoint t = {t:g} is not a multiple of dt = 0.25; "
+        "dt must divide every checkpoint time of the scenario\n"
+    )
+
+    def refusal(**kw):
+        try:
+            sc.ScenarioConfig(scenario=name, dt=0.01, n_paths=100, **kw).validated()
+        except ConfigurationError as exc:
+            return str(exc)
+        return None
+
+    assert refusal() is None
+    unit = f"the {name} scenario is defined on horizon 1"
+    assert refusal(horizon=2.0) == (unit if rec.unit_horizon else None)
+    empty = refusal(delta=0.995)
+    if rec.window_end is None:
+        assert empty is None
+    else:
+        assert f"leaves the {name} correction window empty" in empty
+        assert refusal(delta=rec.window_end - 0.01) is None
+
+
+@pytest.mark.parametrize("name, field, prefix, n_entries",
+                         [("emery-before", "xi", "", 6), ("honest", "g", "pre|", 5)])
+def test_stopped_candidate_is_the_level_from_tau_on(name, field, prefix, n_entries):
+    # a sampled touch puts the last passage on a grid time; the candidate is
+    # the level from there on, so paths stopped by s add exact zeros
+    cfg = sc.ScenarioConfig(scenario=name, dt=0.01, n_paths=3000, seed=3)
+    ctx = sc._RECORDS[name](cfg).block(cfg, cfg.grid(), 0, 3000)
+    tau = getattr(ctx, field)
+    assert np.mean(np.isin(tau, ctx.times)) > 0.4
+    for control in (False, True):
+        for block_size in (100, 8192):
+            run = sc.run_scenario(replace(cfg, no_correction=control, block_size=block_size))
+            entries = [e for e in run.report.entries if e.functional == f"{prefix}1[{field}<=s]"]
+            assert len(entries) == n_entries
+            assert all(e.mean == 0.0 and e.stderr == 0.0 for e in entries)
 
 
 @pytest.mark.parametrize(
     "scenario, method",
-    [(name, "pitman-construction") for name in sc._STATISTICAL] + [("pitman", "euler-sde")],
+    [(name, "pitman-construction") for name in sc._RECORDS] + [("pitman", "euler-sde")],
 )
 def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
     """Corrected and control reports are byte-identical with the per-path draw
@@ -312,3 +365,17 @@ class TestTraceHooks:
         recorded = {(span[0], span[1]) for span in tracer.spans}
         missing = [k for k, name in zip(layertrace.KERNELS, names) if name not in recorded]
         assert missing == []
+
+    def test_supremum_bridge_maxima_are_traced(self, monkeypatch):
+        # _supremum_block imports _bridge_max per call, so the trace's wrapper
+        # on paths._bridge_max records supremum's bridge maxima too
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        tracer = importlib.import_module("layertrace").Tracer()
+        tracer.install()
+        try:
+            sc.run_scenario(sc.ScenarioConfig(scenario="supremum", n_paths=100, dt=0.01))
+        finally:
+            tracer.uninstall()
+        spans = tracer.spans
+        parents = [spans[span[4]][0] for span in spans if span[0] == "_bridge_max"]
+        assert parents and set(parents) == {"_supremum_block"}
