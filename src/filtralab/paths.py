@@ -63,11 +63,13 @@ def reciprocal_scale() -> ScaleFunction:
 
 
 def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.ndarray:
-    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``.
+    """Fill row k of ``out`` by ``draw(substream(seed, purpose, lo + k), row)``; returns ``out``.
 
-    One generator serves the whole call.  Before each later row its Philox
-    bit generator is re-keyed to that path's stream, with the counter and
-    the buffered state (``buffer``, ``buffer_pos``, ``has_uint32``,
+    ``draw(gen, row)`` writes its draws into ``row`` in place (through the
+    generator's ``out=``); a 1-D ``out`` passes each element as a length-1
+    view.  One generator serves the whole call.  Before each later row its
+    Philox bit generator is re-keyed to that path's stream, with the counter
+    and the buffered state (``buffer``, ``buffer_pos``, ``has_uint32``,
     ``uinteger``) reset to those of a new generator, so every row draws
     exactly its own path's stream at a fraction of a new generator's cost.
     """
@@ -78,7 +80,7 @@ def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.nda
         if k:
             fresh["state"]["key"] = stream_key(seed, purpose, lo + k)
             bits.state = fresh
-        out[k] = draw(gen)
+        draw(gen, out[k:k + 1] if out.ndim == 1 else out[k])
     return out
 
 
@@ -125,14 +127,16 @@ def pitman_from_draws(
 def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
     """Euler paths of dR = dt/R + dW from R_0 = 1, reflected at 0, for paths [lo, hi).
 
-    Each path draws its normals from its own ``bes3`` substream; the loop
-    runs over time only, on all paths at once.  A step that lands below 0
+    Each path draws its normals from its own ``bes3`` substream, into a
+    contiguous (paths, steps) array (numpy fills no strided ``out=``); the
+    loop runs over time only, on all paths at once.  A step that lands below 0
     is reflected; one whose reflected value is still <= 0 raises
     ``NumericalDegeneracyError`` instead of being clamped.
     """
     sqdt = math.sqrt(grid.dt)
     out = np.ones((grid.n + 1, hi - lo))
-    draw_rows(out[1:].T, seed, "bes3", lo, lambda gen: gen.standard_normal(grid.n))
+    out[1:] = draw_rows(np.empty((hi - lo, grid.n)), seed, "bes3", lo,
+                        lambda gen, row: gen.standard_normal(out=row)).T
     for k in range(grid.n):
         cur, nxt = out[k], out[k + 1]
         nxt *= sqdt

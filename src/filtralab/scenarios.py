@@ -5,8 +5,9 @@ or more candidate martingales (drift-corrected unless the negative control
 is requested), evaluates the functional family at the checkpoints, and
 reduces everything through shard-safe moment accumulators.  Each one is a
 ``Scenario`` record in ``_RECORDS``, built per run, and one driver,
-``_drive``, runs them all.  Per-path substreams make the result independent
-of the block schedule.
+``_drive``, runs them all, block by block and each block in row tiles.
+Per-path substreams make every path independent of the block and tile
+schedule; ``block_size`` sets only how the per-path values are summed.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -15,7 +16,6 @@ pitman, glue-demo, elemint-check.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -62,6 +62,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DAMP_SCALE = 0.3
 # The after-side candidates integrate only steps ending by this time.
 _AFTER_CAP = 0.9
+# Bytes of one (paths x grid points) float64 matrix of a tile.  Past glibc's
+# 32 MiB mmap threshold each temporary is a fresh mapping whose pages fault
+# in anew; tiles keep them small and peak memory independent of block_size.
+_TILE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ class Scenario(NamedTuple):
 
 def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
     out = np.zeros((hi - lo, grid.n + 1))
-    draw_rows(out[:, 1:], seed, "brownian", lo, lambda gen: gen.standard_normal(grid.n))
+    draw_rows(out[:, 1:], seed, "brownian", lo, lambda gen, row: gen.standard_normal(out=row))
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     out[:, 1:] *= math.sqrt(grid.dt)
     return out
@@ -230,7 +234,8 @@ def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _bridge_uniforms(seed: int, lo: int, nb: int, n: int) -> np.ndarray:
     """1 - U for the n per-step uniforms of each row's ``bridge_min`` stream."""
-    return draw_rows(np.empty((nb, n)), seed, "bridge_min", lo, lambda g: 1.0 - g.uniform(size=n))
+    u = draw_rows(np.empty((nb, n)), seed, "bridge_min", lo, lambda gen, row: gen.random(out=row))
+    return np.subtract(1.0, u, out=u)
 
 
 def _exact_last_passage(
@@ -306,34 +311,48 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     """Run every block through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
 
-    Candidates, functionals and levels see the block up to the last column
-    any of them reads; no entry reads a later one.  A run that gathers no
-    suite entry is refused.
+    A block is built and tested in tiles of ``_TILE_BYTES`` per path matrix;
+    every kernel works row by row, so a tile's per-path values are those of
+    its rows in the whole block.  They are written into one buffer per entry,
+    which is reduced once per block.  Candidates, functionals and levels see
+    a tile up to the last column any of them reads; no entry reads a later
+    one.  A run with no suite entry is refused.
     """
     grid = cfg.grid()
-    accs: dict = defaultdict(MomentAccumulator)
     legs = [
-        (leg, [(s, t, grid.index_of(s), grid.index_of(t)) for s, t in leg.checkpoints])
+        (leg.candidate, [(grid.index_of(s), grid.index_of(t),
+                          [((s, t, leg.prefix + f.id), f) for f in leg.functionals(s, t)])
+                         for s, t in leg.checkpoints])
         for leg in rec.legs
     ]
+    accs = {key: MomentAccumulator() for _, idx in legs for *_, fs in idx for key, _ in fs}
+    if not accs:
+        raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
     levels = {} if rec.levels is None or cfg.no_correction else {
         t: MomentAccumulator() for t in rec.levels.times
     }
+    sinks = accs | levels  # suite keys are tuples, level keys times
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
+    rows = max(1, _TILE_BYTES // (8 * (grid.n + 1)))
     for lo in range(0, cfg.n_paths, cfg.block_size):
-        ctx = rec.block(cfg, grid, lo, min(lo + cfg.block_size, cfg.n_paths)).head(last)
-        for leg, idx in legs:
-            x = leg.candidate(cfg, ctx)
-            for s, t, si, ti in idx:
-                inc = x[:, ti] - x[:, si]
-                for f in leg.functionals(s, t):
-                    accs[(s, t, leg.prefix + f.id)].add(inc * f.values(ctx, si))
-            del x  # the next candidate is built without this one alive
-        for t, acc in levels.items():
-            acc.add(rec.levels.values(ctx, grid.index_of(t)))
-        del ctx  # and the next block without this one
-    if not accs:
-        raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
+        hi = min(lo + cfg.block_size, cfg.n_paths)
+        vals = {key: np.empty(hi - lo) for key in sinks}
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            tile = slice(a - lo, b - lo)
+            ctx = rec.block(cfg, grid, a, b).head(last)
+            for candidate, idx in legs:
+                x = candidate(cfg, ctx)
+                for si, ti, fs in idx:
+                    inc = x[:, ti] - x[:, si]
+                    for key, f in fs:
+                        np.multiply(inc, f.values(ctx, si), out=vals[key][tile])
+                del x  # the next candidate is built without this one alive
+            for t in levels:
+                vals[t][tile] = rec.levels.values(ctx, grid.index_of(t))
+            del ctx  # and the next tile without this one
+        for key, acc in sinks.items():
+            acc.add(vals[key])
     extra = []
     for t, acc in sorted(levels.items()):
         mean, stderr, z = acc.stats()
@@ -413,7 +432,8 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     ttimes[:, :-1] = np.minimum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
     ttimes[:, -1] = math.inf
 
-    z = draw_rows(np.empty(hi - lo), cfg.seed, "sup_tail", lo, lambda gen: gen.standard_normal())
+    z = draw_rows(np.empty(hi - lo), cfg.seed, "sup_tail", lo,
+                  lambda gen, row: gen.standard_normal(out=row))
     t_star = grid.horizon + (u[:, -1] - w[:, -1]) ** 2 / (z * z)
     ttimes = np.where(np.isfinite(ttimes), ttimes, t_star[:, None])
     return BlockContext(grid, grid.times(), w, U=u, Ttimes=ttimes)
@@ -689,14 +709,23 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
     nb, n = hi - lo, grid.n
     if cfg.bes_method == "pitman-construction":
         # one row of the bes3 stream: j0 uniform, n normals, n bridge uniforms
-        d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, lambda gen: np.concatenate(
-            ([1.0 - gen.uniform()], gen.standard_normal(n), 1.0 - gen.uniform(size=n))))
+        def draw(gen, row):
+            gen.random(out=row[:1])
+            gen.standard_normal(out=row[1:n + 1])
+            gen.random(out=row[n + 1:])
+
+        d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, draw)
+        # 1 - U for the j0 uniform and the bridge uniforms
+        np.subtract(1.0, d[:, :1], out=d[:, :1])
+        np.subtract(1.0, d[:, n + 1:], out=d[:, n + 1:])
         r = pitman_from_draws(1.0, d[:, 0], d[:, 1:n + 1], d[:, n + 1:], grid.dt)
         del d  # the draws go before the future infimum's temporaries: same peak RSS
     else:
         r = euler_bes3_block(grid, cfg.seed, lo, hi)
 
-    u_tail = draw_rows(np.empty(nb), cfg.seed, "inf_tail", lo, lambda gen: 1.0 - gen.uniform())
+    u_tail = draw_rows(np.empty(nb), cfg.seed, "inf_tail", lo,
+                       lambda gen, row: gen.random(out=row))
+    np.subtract(1.0, u_tail, out=u_tail)
     tails = reciprocal_scale().tail_sample(r[:, -1], u_tail)
     step_min = _bridge_min(r[:, :-1], r[:, 1:], grid.dt, _bridge_uniforms(cfg.seed, lo, nb, n))
     ext = np.concatenate([step_min, np.minimum(r[:, -1], tails)[:, None]], axis=1)

@@ -36,9 +36,9 @@ def elem_integral_per_piece(h, f, t: float) -> float:
 
 
 def draw_rows_per_path(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.ndarray:
-    """Fill row k of ``out`` with ``draw(substream(seed, purpose, lo + k))``; returns ``out``."""
+    """Fill row k of ``out`` by ``draw(substream(seed, purpose, lo + k), row)``; returns ``out``."""
     for k in range(len(out)):
-        out[k] = draw(substream(seed, purpose, lo + k))
+        draw(substream(seed, purpose, lo + k), out[k:k + 1] if out.ndim == 1 else out[k])
     return out
 
 

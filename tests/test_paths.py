@@ -69,12 +69,13 @@ class TestSimulateBrownian:
 class TestDrawRows:
     def test_row_k_is_path_lo_plus_k(self):
         out = np.empty((3, 4))
-        assert P.draw_rows(out, 5, "brownian", 7, lambda g: g.standard_normal(4)) is out
+        assert P.draw_rows(out, 5, "brownian", 7, lambda g, row: g.standard_normal(out=row)) is out
         for k in range(3):
             assert np.array_equal(out[k], substream(5, "brownian", 7 + k).standard_normal(4))
 
     def test_one_scalar_per_row(self):
-        out = P.draw_rows(np.empty(4), 2, "inf_tail", 10, lambda g: g.uniform())
+        # random(out=) on a length-1 view draws the bits of uniform()
+        out = P.draw_rows(np.empty(4), 2, "inf_tail", 10, lambda g, row: g.random(out=row))
         assert list(out) == [substream(2, "inf_tail", 10 + k).uniform() for k in range(4)]
 
     @pytest.mark.parametrize(
@@ -102,14 +103,17 @@ class TestDrawRows:
     @pytest.mark.parametrize("lo, rows", [(0, 6), (41, 1), (1000, 5)])
     def test_every_builder_draw_matches_new_generators(self, monkeypatch, lo, rows):
         # each draw_rows call the builders make, re-run against a new
-        # substream per row, bit for bit
+        # substream per row, bit for bit; both start from NaN, so a draw
+        # that leaves part of its row unwritten fails
         calls = []
 
         def spy(draw_rows):
             def wrapped(out, seed, purpose, lo_, draw):
-                want = draw_rows_per_path(np.empty_like(out), seed, purpose, lo_, draw)
+                want = draw_rows_per_path(np.full_like(out, np.nan), seed, purpose, lo_, draw)
+                out[...] = np.nan
                 got = draw_rows(out, seed, purpose, lo_, draw)
-                calls.append((purpose, out.shape, np.array_equal(got, want)))
+                ok = np.array_equal(got, want) and not np.isnan(got).any()
+                calls.append((purpose, out.shape, ok))
                 return got
             return wrapped
 
@@ -130,18 +134,20 @@ class TestDrawRows:
         assert [c for c in calls if not c[2]] == []
 
     @pytest.mark.parametrize(
-        "width, draw",
+        "width, fill, draw",
         [
             # a lone uniform and five normals end a row with Philox's
             # four-word buffer half used
-            (6, lambda g: np.concatenate(([g.uniform()], g.standard_normal(5)))),
+            (6, lambda g, row: (g.random(out=row[:1]), g.standard_normal(out=row[1:])),
+             lambda g: np.concatenate(([g.uniform()], g.standard_normal(5)))),
             # an odd count of 32-bit integers ends it with half a word kept
-            (3, lambda g: g.integers(0, 1000, size=3, dtype=np.uint32)),
+            (3, lambda g, row: np.copyto(row, g.integers(0, 1000, size=3, dtype=np.uint32)),
+             lambda g: g.integers(0, 1000, size=3, dtype=np.uint32)),
         ],
         ids=["uniform-then-normals", "uint32"],
     )
-    def test_half_used_buffer_is_not_carried_over(self, width, draw):
-        out = P.draw_rows(np.empty((3, width)), 9, "bes3", 30, draw)
+    def test_half_used_buffer_is_not_carried_over(self, width, fill, draw):
+        out = P.draw_rows(np.empty((3, width)), 9, "bes3", 30, fill)
         for k in range(3):
             assert np.array_equal(out[k], draw(substream(9, "bes3", 30 + k)))
 
@@ -255,16 +261,15 @@ class TestFutureInfimum:
                 return 4.0
 
         class Zeros:
-            def uniform(self, size=None):
-                return 0.0 if size is None else np.zeros(size)
+            def random(self, out):
+                out[...] = 0.0
 
-            def standard_normal(self, n):
-                return np.zeros(n)
+            standard_normal = random
 
         def zero_rows(out, seed, purpose, lo, draw):
             # the builder's own draw of every row, made on a generator of zeros
             for k in range(len(out)):
-                out[k] = draw(Zeros())
+                draw(Zeros(), out[k:k + 1] if out.ndim == 1 else out[k])
             return out
 
         # a block of one path

@@ -216,6 +216,54 @@ class TestReportDeterminism:
             assert ea.z == pytest.approx(eb.z, abs=1e-9)
 
 
+_STATISTICAL = [(name, "pitman-construction") for name in sc._RECORDS] + [("pitman", "euler-sde")]
+
+
+@pytest.mark.parametrize("scenario, method", _STATISTICAL)
+def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
+    """Tiles of 11 rows (which divide neither block size) and one tile per
+    block give equal entries and verdicts, corrected and control, at block
+    sizes 100 and 777: each block reduces the same per-path vector."""
+
+    def runs(tile_rows):
+        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows)  # dt 1e-2: 101 points
+        out = []
+        for control in (False, True):
+            for block_size in (100, 777):
+                run = sc.run_scenario(sc.ScenarioConfig(
+                    scenario=scenario, dt=1e-2, n_paths=1000, seed=4, block_size=block_size,
+                    no_correction=control, bes_method=method))
+                out.append((run.report.verdict, run.passed, [
+                    (e.s, e.t, e.functional, e.mean, e.stderr, e.z, e.n_paths, e.passed)
+                    for e in run.report.entries + run.extra_entries
+                ]))
+        return out
+
+    tiled = runs(11)
+    assert len(tiled[0][2]) >= 16
+    assert tiled == runs(1000)
+
+
+@pytest.mark.parametrize("scenario", list(sc._RECORDS))
+def test_peak_memory_does_not_grow_with_block_size(scenario):
+    # blocks are built in tiles, so the traced peak is set by the tile, not
+    # by block_size (a whole block of 6 000 paths would be 3x the peak of
+    # blocks of 2 048)
+    import tracemalloc
+
+    def peak(block_size):
+        cfg = sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2,
+                                block_size=block_size)
+        tracemalloc.start()
+        try:
+            sc.run_scenario(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8192) <= 1.25 * peak(2048)
+
+
 class TestFunctionalCatalog:
     def test_bounded_everywhere(self):
         cfg = sc.ScenarioConfig(scenario="supremum", dt=0.01, n_paths=300, seed=14)
@@ -303,10 +351,7 @@ def test_stopped_candidate_is_the_level_from_tau_on(name, field, prefix, n_entri
             assert all(e.mean == 0.0 and e.stderr == 0.0 for e in entries)
 
 
-@pytest.mark.parametrize(
-    "scenario, method",
-    [(name, "pitman-construction") for name in sc._RECORDS] + [("pitman", "euler-sde")],
-)
+@pytest.mark.parametrize("scenario, method", _STATISTICAL)
 def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
     """Corrected and control reports are byte-identical with the per-path draw
     loop and the full-matrix last passage patched in (three blocks, so rows
