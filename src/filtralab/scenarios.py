@@ -5,9 +5,10 @@ or more candidate martingales (drift-corrected unless the negative control
 is requested), evaluates the functional family at the checkpoints, and
 reduces everything through shard-safe moment accumulators.  Each one is a
 ``Scenario`` record in ``_RECORDS``, built per run, and one driver,
-``_drive``, runs them all, block by block and each block in row tiles.
-Per-path substreams make every path independent of the block and tile
-schedule; ``block_size`` sets only how the per-path values are summed.
+``_drive``, runs them all, block by block and each block in row tiles on a
+thread pool.  Per-path substreams make every path independent of the block,
+tile and thread schedule; ``block_size`` sets only how the per-path values
+are summed.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -16,6 +17,9 @@ pitman, glue-demo, elemint-check.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -62,10 +66,12 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _DAMP_SCALE = 0.3
 # The after-side candidates integrate only steps ending by this time.
 _AFTER_CAP = 0.9
-# Bytes of one (paths x grid points) float64 matrix of a tile.  Past glibc's
-# 32 MiB mmap threshold each temporary is a fresh mapping whose pages fault
-# in anew; tiles keep them small and peak memory independent of block_size.
-_TILE_BYTES = 8 << 20
+# Bytes of the (paths x grid points) float64 matrices of all tiles in flight;
+# each of a run's threads builds tiles of its share.  Past glibc's 32 MiB
+# mmap threshold each temporary is a fresh mapping whose pages fault in anew;
+# tiles keep them small and peak memory independent of block_size and of the
+# thread count.
+_TILE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -307,16 +313,26 @@ def _base_functionals() -> list:
     return [_f_const(), _f_sign_level(-0.5), _f_sign_level(0.0), _f_sign_level(0.5)]
 
 
+def _tile_threads() -> int:
+    """Threads a run builds its tiles on: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
+
+
 def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     """Run every block through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
 
-    A block is built and tested in tiles of ``_TILE_BYTES`` per path matrix;
+    A block is built and tested in tiles, which run on ``_tile_threads()``
+    threads (inline on one CPU) and share ``_TILE_BYTES`` per path matrix;
     every kernel works row by row, so a tile's per-path values are those of
     its rows in the whole block.  They are written into one buffer per entry,
-    which is reduced once per block.  Candidates, functionals and levels see
-    a tile up to the last column any of them reads; no entry reads a later
-    one.  A run with no suite entry is refused.
+    which is reduced once per block, in key order, after all its tiles.
+    Candidates, functionals and levels see a tile up to the last column any
+    of them reads; no entry reads a later one.  A run with no suite entry is
+    refused.
     """
     grid = cfg.grid()
     legs = [
@@ -333,26 +349,32 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     }
     sinks = accs | levels  # suite keys are tuples, level keys times
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
-    rows = max(1, _TILE_BYTES // (8 * (grid.n + 1)))
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
-        vals = {key: np.empty(hi - lo) for key in sinks}
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            tile = slice(a - lo, b - lo)
-            ctx = rec.block(cfg, grid, a, b).head(last)
-            for candidate, idx in legs:
-                x = candidate(cfg, ctx)
-                for si, ti, fs in idx:
-                    inc = x[:, ti] - x[:, si]
-                    for key, f in fs:
-                        np.multiply(inc, f.values(ctx, si), out=vals[key][tile])
-                del x  # the next candidate is built without this one alive
-            for t in levels:
-                vals[t][tile] = rec.levels.values(ctx, grid.index_of(t))
-            del ctx  # and the next tile without this one
-        for key, acc in sinks.items():
-            acc.add(vals[key])
+    threads = _tile_threads()
+    rows = max(1, _TILE_BYTES // threads // (8 * (grid.n + 1)))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        tile_map = pool.map if pool else map
+        for lo in range(0, cfg.n_paths, cfg.block_size):
+            hi = min(lo + cfg.block_size, cfg.n_paths)
+            vals = {key: np.empty(hi - lo) for key in sinks}
+
+            def run_tile(a: int, b: int) -> None:
+                tile = slice(a - lo, b - lo)
+                ctx = rec.block(cfg, grid, a, b).head(last)
+                for candidate, idx in legs:
+                    x = candidate(cfg, ctx)
+                    for si, ti, fs in idx:
+                        inc = x[:, ti] - x[:, si]
+                        for key, f in fs:
+                            np.multiply(inc, f.values(ctx, si), out=vals[key][tile])
+                    del x  # the next candidate is built without this one alive
+                for t in levels:
+                    vals[t][tile] = rec.levels.values(ctx, grid.index_of(t))
+
+            starts = range(lo, hi, rows)
+            for _ in tile_map(run_tile, starts, [min(a + rows, hi) for a in starts]):
+                pass  # reading each result re-raises a tile's error
+            for key, acc in sinks.items():
+                acc.add(vals[key])
     extra = []
     for t, acc in sorted(levels.items()):
         mean, stderr, z = acc.stats()

@@ -13,6 +13,7 @@ patched in, they must leave every report byte-identical.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -133,11 +134,15 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     """
     grid = cfg.grid()
     ti = grid.index_of(t_check)
-    ys, alive = [], []
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        ctx = _emery_block(cfg, grid, lo, min(lo + cfg.block_size, cfg.n_paths))
-        ys.append(np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check))
-        alive.append(ctx.xi > t_check)
+    threads = scenarios._tile_threads()
+    rows = max(1, scenarios._TILE_BYTES // threads // (8 * (grid.n + 1)))  # a run's tiles
+
+    def tile(lo):
+        ctx = _emery_block(cfg, grid, lo, min(lo + rows, cfg.n_paths))
+        return np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check), ctx.xi > t_check
+
+    with ThreadPoolExecutor(threads) as pool:
+        ys, alive = zip(*pool.map(tile, range(0, cfg.n_paths, rows)))
     y = np.concatenate(ys)
     a = np.concatenate(alive)
     edges = np.quantile(y, np.linspace(0.0, 1.0, bins + 1))

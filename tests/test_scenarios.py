@@ -15,6 +15,7 @@ from filtralab.cli import emit_report
 from filtralab.rng import substream
 from filtralab import paths as P
 from filtralab import scenarios as sc
+from filtralab.verify import TestFunctional
 from oracles import (
     draw_rows_per_path,
     exact_last_passage_full,
@@ -222,11 +223,14 @@ _STATISTICAL = [(name, "pitman-construction") for name in sc._RECORDS] + [("pitm
 @pytest.mark.parametrize("scenario, method", _STATISTICAL)
 def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
     """Tiles of 11 rows (which divide neither block size) and one tile per
-    block give equal entries and verdicts, corrected and control, at block
-    sizes 100 and 777: each block reduces the same per-path vector."""
+    block, on 1, 2 and 3 threads, give equal entries and verdicts, corrected
+    and control, at block sizes 100 and 777: each block reduces the same
+    per-path vector, in the same order."""
 
-    def runs(tile_rows):
-        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows)  # dt 1e-2: 101 points
+    def runs(threads, tile_rows):
+        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
+        # dt 1e-2: 101 points; each thread's tile gets a 1/threads share
+        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows * threads)
         out = []
         for control in (False, True):
             for block_size in (100, 777):
@@ -239,29 +243,55 @@ def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
                 ]))
         return out
 
-    tiled = runs(11)
-    assert len(tiled[0][2]) >= 16
-    assert tiled == runs(1000)
+    whole = runs(1, 1000)
+    assert len(whole[0][2]) >= 16
+    for threads in (1, 2, 3):
+        assert runs(threads, 11) == whole
+    for threads in (2, 3):
+        assert runs(threads, 1000) == whole
+
+
+def _traced_peak(cfg) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sc.run_scenario(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("scenario", list(sc._RECORDS))
-def test_peak_memory_does_not_grow_with_block_size(scenario):
+def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
     # blocks are built in tiles, so the traced peak is set by the tile, not
     # by block_size (a whole block of 6 000 paths would be 3x the peak of
-    # blocks of 2 048)
-    import tracemalloc
+    # blocks of 2 048).  One thread: with more, the peak depends on how the
+    # tiles in flight happen to overlap; the next test bounds that.
+    monkeypatch.setattr(sc, "_tile_threads", lambda: 1)
 
     def peak(block_size):
-        cfg = sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2,
-                                block_size=block_size)
-        tracemalloc.start()
-        try:
-            sc.run_scenario(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000,
+                                              seed=2, block_size=block_size))
 
     assert peak(8192) <= 1.25 * peak(2048)
+
+
+@pytest.mark.parametrize("scenario", list(sc._RECORDS))
+def test_peak_memory_does_not_grow_with_threads(monkeypatch, scenario):
+    # the tiles in flight share one budget, so more threads do not mean
+    # more memory (a full budget per thread would double the peak at 2)
+    def peak(threads):
+        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
+        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2))
+
+    one = peak(1)
+    assert peak(2) <= 1.25 * one
+    assert peak(3) <= 1.25 * one
+
+
+def test_tile_threads_default_to_the_cpu_affinity():
+    assert sc._tile_threads() == len(os.sched_getaffinity(0))
 
 
 class TestFunctionalCatalog:
@@ -297,6 +327,37 @@ class TestDrive:
         no_functionals = sc.Leg("", sc._bridge_candidate, lambda s, t: [], ((0.2, 0.4),))
         with pytest.raises(ConfigurationError, match="no suite entries"):
             sc._drive(cfg, sc.Scenario(sc._bridge_block, (no_functionals,)))
+
+    def test_error_in_a_late_tile(self, monkeypatch, capsys):
+        """A functional that breaks the unit bound only on paths 900 on, in
+        tiles of 11 rows: 3 threads raise the 1-thread error, the CLI prints
+        the same one line and exits 2, and no pool thread outlives the run."""
+        import threading
+
+        from filtralab.cli import main
+
+        def block(cfg, grid, lo, hi):
+            return replace(sc._bridge_block(cfg, grid, lo, hi), xi=np.arange(lo, hi, dtype=float))
+
+        late = TestFunctional("late", lambda ctx, si: np.where(ctx.xi >= 900, 2.0, 0.0))
+        leg = sc.Leg("", lambda cfg, ctx: ctx.W, lambda s, t: [late], ((0.2, 0.4),))
+        monkeypatch.setitem(sc._RECORDS, "bridge", lambda cfg: sc.Scenario(block, (leg,)))
+        cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=1000, seed=1)
+        before = threading.active_count()
+        outcomes = []
+        for threads in (1, 3):
+            monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
+            monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11 * threads)  # 11 rows a tile
+            with pytest.raises(ConfigurationError) as err:
+                sc.run_scenario(cfg)
+            code = main(["--scenario", "bridge", "--dt", "0.01", "--n-paths", "1000"])
+            outcomes.append((str(err.value), code, capsys.readouterr()))
+            assert threading.active_count() == before
+        assert outcomes[0] == outcomes[1]
+        message, code, captured = outcomes[0]
+        assert message == "functional 'late' exceeds the unit bound"
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"filtralab: config error: {message}\n"
 
 
 @pytest.mark.parametrize("name", list(sc._RECORDS))

@@ -139,3 +139,23 @@ class TestFunctionalBound:
     def test_clipping_tolerance(self):
         f = TestFunctional("edge", lambda ctx, si: np.full(4, 1.0 + 1e-12))
         assert np.all(f.values(None, 0) <= 1.0)
+
+    def test_empty_values_pass(self):
+        f = TestFunctional("empty", lambda ctx, si: np.empty(0))
+        out = f.values(None, 0)
+        assert out.dtype == float and out.shape == (0,)
+
+    def test_nan_passes_through_and_neighbours_are_clipped(self):
+        f = TestFunctional("nan", lambda ctx, si: np.array([np.nan, 5.0, 1.0 + 1e-10, -0.5]))
+        out = f.values(None, 0)
+        assert np.isnan(out[0]) and out[2] == 1.0 and out[3] == -0.5
+        # NaN hides the bound breach from the check, as np.max(np.abs(.)) did
+        assert out[1] == 1.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_within_the_tolerance_become_exactly_one(self, sign):
+        v = sign * np.array([0.25, 1.0 + 1e-10, 1.0 + 1e-9])
+        out = TestFunctional("edge", lambda ctx, si: v).values(None, 0)
+        assert list(out) == [sign * 0.25, sign * 1.0, sign * 1.0]
+        with pytest.raises(ConfigurationError, match="'edge' exceeds the unit bound"):
+            TestFunctional("edge", lambda ctx, si: sign * np.array([1.0 + 2e-9])).values(None, 0)
