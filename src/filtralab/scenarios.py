@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -72,6 +71,10 @@ _AFTER_CAP = 0.9
 # tiles keep them small and peak memory independent of block_size and of the
 # thread count.
 _TILE_BYTES = 4 << 20
+# The smallest share of _TILE_BYTES a thread gets: tiles of 2-8 MiB were
+# measured fastest, and smaller ones spend their time in per-tile Python
+# that holds the GIL and in fresh allocations.
+_MIN_TILE_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -314,25 +317,34 @@ def _base_functionals() -> list:
 
 
 def _tile_threads() -> int:
-    """Threads a run builds its tiles on: the CPUs this process may run on."""
+    """Threads a run builds its tiles on: the CPUs this process may run on,
+    but no more than keep each thread's tile at ``_MIN_TILE_BYTES``."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _TILE_BYTES // _MIN_TILE_BYTES))
+
+
+def _tile_rows(grid: TimeGrid, threads: int) -> int:
+    """Rows of one thread's tile: its share of ``_TILE_BYTES`` per path matrix."""
+    return max(1, _TILE_BYTES // threads // (8 * (grid.n + 1)))
 
 
 def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     """Run every block through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
 
-    A block is built and tested in tiles, which run on ``_tile_threads()``
-    threads (inline on one CPU) and share ``_TILE_BYTES`` per path matrix;
+    A block is built and tested in tiles, which run on a pool of
+    ``_tile_threads()`` threads and share ``_TILE_BYTES`` per path matrix;
     every kernel works row by row, so a tile's per-path values are those of
     its rows in the whole block.  They are written into one buffer per entry,
     which is reduced once per block, in key order, after all its tiles.
     Candidates, functionals and levels see a tile up to the last column any
     of them reads; no entry reads a later one.  A run with no suite entry is
-    refused.
+    refused.  A block builder wrapped from outside (it carries
+    ``__wrapped__``, as ``functools.wraps`` and the benchmark's trace leave
+    it) runs its tiles on one thread: the wrapper need not be thread-safe.
     """
     grid = cfg.grid()
     legs = [
@@ -349,10 +361,9 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     }
     sinks = accs | levels  # suite keys are tuples, level keys times
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
-    threads = _tile_threads()
-    rows = max(1, _TILE_BYTES // threads // (8 * (grid.n + 1)))
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        tile_map = pool.map if pool else map
+    threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
+    rows = _tile_rows(grid, threads)
+    with ThreadPoolExecutor(threads) as pool:
         for lo in range(0, cfg.n_paths, cfg.block_size):
             hi = min(lo + cfg.block_size, cfg.n_paths)
             vals = {key: np.empty(hi - lo) for key in sinks}
@@ -371,7 +382,7 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
                     vals[t][tile] = rec.levels.values(ctx, grid.index_of(t))
 
             starts = range(lo, hi, rows)
-            for _ in tile_map(run_tile, starts, [min(a + rows, hi) for a in starts]):
+            for _ in pool.map(run_tile, starts, [min(a + rows, hi) for a in starts]):
                 pass  # reading each result re-raises a tile's error
             for key, acc in sinks.items():
                 acc.add(vals[key])

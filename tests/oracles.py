@@ -135,7 +135,7 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     grid = cfg.grid()
     ti = grid.index_of(t_check)
     threads = scenarios._tile_threads()
-    rows = max(1, scenarios._TILE_BYTES // threads // (8 * (grid.n + 1)))  # a run's tiles
+    rows = scenarios._tile_rows(grid, threads)  # a run's tiles
 
     def tile(lo):
         ctx = _emery_block(cfg, grid, lo, min(lo + rows, cfg.n_paths))

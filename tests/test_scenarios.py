@@ -266,32 +266,31 @@ def _traced_peak(cfg) -> int:
 def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
     # blocks are built in tiles, so the traced peak is set by the tile, not
     # by block_size (a whole block of 6 000 paths would be 3x the peak of
-    # blocks of 2 048).  One thread: with more, the peak depends on how the
-    # tiles in flight happen to overlap; the next test bounds that.
-    monkeypatch.setattr(sc, "_tile_threads", lambda: 1)
-
-    def peak(block_size):
+    # blocks of 2 048); the tiles in flight share one budget, so more
+    # threads do not mean more memory (a full budget per thread would double
+    # the peak at 2).  The block-size case runs on one thread: with more,
+    # the peak depends on how the tiles in flight happen to overlap.
+    def peak(block_size, threads):
+        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
         return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000,
                                               seed=2, block_size=block_size))
 
-    assert peak(8192) <= 1.25 * peak(2048)
+    one = peak(8192, 1)
+    assert one <= 1.25 * peak(2048, 1)
+    assert peak(8192, 2) <= 1.25 * one
+    assert peak(8192, 3) <= 1.25 * one
 
 
-@pytest.mark.parametrize("scenario", list(sc._RECORDS))
-def test_peak_memory_does_not_grow_with_threads(monkeypatch, scenario):
-    # the tiles in flight share one budget, so more threads do not mean
-    # more memory (a full budget per thread would double the peak at 2)
-    def peak(threads):
-        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
-        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2))
-
-    one = peak(1)
-    assert peak(2) <= 1.25 * one
-    assert peak(3) <= 1.25 * one
-
-
-def test_tile_threads_default_to_the_cpu_affinity():
-    assert sc._tile_threads() == len(os.sched_getaffinity(0))
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
+def test_tile_threads_keep_the_smallest_measured_tile(monkeypatch, cpus, threads):
+    # one thread per CPU of the affinity mask, or of os.cpu_count() without
+    # one, but never so many that a thread's tile drops below 2 MiB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert sc._tile_threads() == threads
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sc._tile_threads() == threads
+    assert sc._TILE_BYTES // threads >= sc._MIN_TILE_BYTES
 
 
 class TestFunctionalCatalog:
@@ -485,3 +484,23 @@ class TestTraceHooks:
         spans = tracer.spans
         parents = [spans[span[4]][0] for span in spans if span[0] == "_bridge_max"]
         assert parents and set(parents) == {"_supremum_block"}
+
+
+def test_traced_runs_tile_on_one_thread(monkeypatch):
+    """The benchmark's trace keeps one span stack per process, so a run whose
+    block builder it wraps tiles on one thread whatever the CPU count: every
+    span then lies within its parent's."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    monkeypatch.setattr(sc, "_tile_threads", lambda: 3)
+    monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11 * 3)  # 33-row tiles on one thread
+    tracer = importlib.import_module("layertrace").Tracer()
+    tracer.install()
+    try:
+        sc.run_scenario(sc.ScenarioConfig(scenario="honest", n_paths=1000, dt=0.01))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert sum(span[0] == "_honest_block" for span in spans) == 31
+    for _, _, start, end, parent, *_ in spans:
+        if parent >= 0:
+            assert spans[parent][2] <= start and end <= spans[parent][3]
