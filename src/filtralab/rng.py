@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = ["substream", "stream_key", "PURPOSE"]
 
-_MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
 
 # Fixed draw-purpose tags, baked into the Philox key. Adding a purpose is
@@ -31,12 +30,10 @@ PURPOSE = {
 
 
 def stream_key(seed: int, purpose: str, stream_id: int = 0) -> np.ndarray:
-    """Philox key of one (seed, purpose, path) triple."""
+    """Philox key of one (seed, purpose, path) triple; a seed outside
+    [0, 2**64) raises OverflowError rather than aliasing another."""
     tag = PURPOSE[purpose]
-    return np.array(
-        [seed & _MASK64, ((tag << 48) | (stream_id & _MASK48)) & _MASK64],
-        dtype=np.uint64,
-    )
+    return np.array([seed, (tag << 48) | (stream_id & _MASK48)], dtype=np.uint64)
 
 
 def substream(seed: int, purpose: str, stream_id: int = 0) -> np.random.Generator:

@@ -6,9 +6,9 @@ is requested), evaluates the functional family at the checkpoints, and
 reduces everything through shard-safe moment accumulators.  Each one is a
 ``Scenario`` record in ``_RECORDS``, built per run, and one driver,
 ``_drive``, runs them all, block by block and each block in row tiles on a
-thread pool.  Per-path substreams make every path independent of the block,
-tile and thread schedule; ``block_size`` sets only how the per-path values
-are summed.
+thread pool.  Per-path substreams make every path independent of the tile
+and thread schedule, and the per-path values are summed in fixed blocks of
+``_BLOCK_PATHS`` paths, so a report depends on its config alone.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -68,9 +68,12 @@ _AFTER_CAP = 0.9
 # Bytes of the (paths x grid points) float64 matrices of all tiles in flight;
 # each of a run's threads builds tiles of its share.  Past glibc's 32 MiB
 # mmap threshold each temporary is a fresh mapping whose pages fault in anew;
-# tiles keep them small and peak memory independent of block_size and of the
-# thread count.
+# tiles keep them small and peak memory independent of the run's size and of
+# the thread count.
 _TILE_BYTES = 4 << 20
+# Paths per block: each entry's per-path values are summed once per block,
+# so this fixes the order of the sums and with it a report's last bits.
+_BLOCK_PATHS = 8192
 # The smallest share of _TILE_BYTES a thread gets: tiles of 2-8 MiB were
 # measured fastest, and smaller ones spend their time in per-tile Python
 # that holds the GIL and in fresh allocations.
@@ -91,7 +94,6 @@ class ScenarioConfig:
     out_path: str | None = None
     format: str = "csv"
     no_correction: bool = False
-    block_size: int = 8192
     bes_method: str = "pitman-construction"
 
     def validated(self) -> "ScenarioConfig":
@@ -103,8 +105,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"threshold must be finite and > 0, got {self.threshold}"
             )
-        if self.block_size < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.scenario not in _RECORDS:
             return self
         if not (0.0 < self.dt < math.inf and 0.0 < self.horizon < math.inf):
@@ -335,16 +337,16 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     """Run every block through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
 
-    A block is built and tested in tiles, which run on a pool of
-    ``_tile_threads()`` threads and share ``_TILE_BYTES`` per path matrix;
+    A block of ``_BLOCK_PATHS`` paths is built and tested in tiles, which run
+    on ``_tile_threads()`` threads and share ``_TILE_BYTES`` per path matrix;
     every kernel works row by row, so a tile's per-path values are those of
-    its rows in the whole block.  They are written into one buffer per entry,
-    which is reduced once per block, in key order, after all its tiles.
-    Candidates, functionals and levels see a tile up to the last column any
-    of them reads; no entry reads a later one.  A run with no suite entry is
-    refused.  A block builder wrapped from outside (it carries
-    ``__wrapped__``, as ``functools.wraps`` and the benchmark's trace leave
-    it) runs its tiles on one thread: the wrapper need not be thread-safe.
+    its rows in the whole block.  They go into one buffer per entry, reduced
+    once per block, in key order, after all its tiles.  Candidates,
+    functionals and levels see a tile up to the last column any of them
+    reads; no entry reads a later one.  A run with no suite entry is refused.
+    A block builder wrapped from outside (it carries ``__wrapped__``, as
+    ``functools.wraps`` and the benchmark's trace leave it) runs its tiles on
+    one thread: the wrapper need not be thread-safe.
     """
     grid = cfg.grid()
     legs = [
@@ -364,8 +366,8 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
     rows = _tile_rows(grid, threads)
     with ThreadPoolExecutor(threads) as pool:
-        for lo in range(0, cfg.n_paths, cfg.block_size):
-            hi = min(lo + cfg.block_size, cfg.n_paths)
+        for lo in range(0, cfg.n_paths, _BLOCK_PATHS):
+            hi = min(lo + _BLOCK_PATHS, cfg.n_paths)
             vals = {key: np.empty(hi - lo) for key in sinks}
 
             def run_tile(a: int, b: int) -> None:

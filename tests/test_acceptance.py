@@ -17,7 +17,7 @@ from filtralab.gluing import boundary_half_local_time, glue, reconstruction_resi
 from filtralab.paths import reciprocal_scale
 from filtralab.scenarios import ScenarioConfig, random_piece_system, run_scenario
 from filtralab.drifts import emery_after_rate
-from filtralab.scenarios import _emery_block, _pitman_block
+from filtralab.scenarios import _emery_block, _pitman_block, _tile_rows
 from oracles import emery_conditional_law_rows, future_inf_piece_system
 
 
@@ -337,8 +337,9 @@ def test_criterion_9_after_drift_integrable():
     t_left = grid.times()[:-1]
     worst = 0.0
     n_done = 0
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
+    tile = _tile_rows(grid, 1)  # one thread's tile of a run
+    for lo in range(0, cfg.n_paths, tile):
+        hi = min(lo + tile, cfg.n_paths)
         ctx = _emery_block(cfg, grid, lo, hi)
         active = (t_left[None, :] >= ctx.xi[:, None] + 0.01) & (
             t_left[None, :] <= 0.99 - grid.dt
@@ -385,9 +386,7 @@ def test_criterion_11_null_calibration():
     t0 = time.time()
     rejections = 0
     for seed in range(100):
-        cfg = ScenarioConfig(
-            scenario="bridge", dt=0.01, n_paths=2000, seed=seed, block_size=2000
-        )
+        cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=2000, seed=seed)
         # base-filtration null: test W itself with base functionals only
         from collections import defaultdict
 

@@ -38,8 +38,12 @@ _INVALID = {
     "n_paths": st.one_of(
         _NOT_NUMBER, st.integers(max_value=99), st.floats().filter(lambda x: not x.is_integer())
     ),
-    "seed": st.one_of(_NOT_NUMBER, st.floats().filter(lambda x: not x.is_integer())),
-    "block_size": st.one_of(_NOT_NUMBER, st.integers(max_value=0)),
+    "seed": st.one_of(
+        _NOT_NUMBER,
+        st.floats().filter(lambda x: not x.is_integer()),
+        st.integers(max_value=-1),
+        st.integers(min_value=2**64),
+    ),
     "dt": st.one_of(_NOT_NUMBER, st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan)),
     "horizon": st.one_of(_NOT_NUMBER, st.floats().filter(lambda x: x != 1.0)),
     "delta": st.one_of(
@@ -194,6 +198,10 @@ class TestExitCodes:
             (["--format", "xml"], ["argument --format", "'xml'"]),
             (["--seed"], ["argument --seed"]),
             (["--colour", "red"], ["--colour red"]),
+            # seeds outside the Philox key's range: -3 used to reach numpy (a
+            # traceback, exit 1), and 2**64 used to run as seed 0
+            (["--scenario", "glue-demo", "--seed", "-3"], ["seed must be in [0, 2**64)", "-3"]),
+            (["--scenario", "elemint-check", "--seed", str(2**64)], ["seed must be in [0, 2**64)"]),
         ],
     )
     def test_bad_flag_one_line(self, tmp_path, capsys, argv, names):
@@ -225,6 +233,7 @@ class TestExitCodes:
         [
             "block-size = -5",
             "block-size = 0",
+            "block-size = 8192",
             "threshold = nan",
             "threshold = -1",
             "threshold = inf",
@@ -255,6 +264,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        if line.startswith("block-size"):  # a retired key, refused whatever its value
+            assert "unknown config key 'block_size'" in captured.err
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
@@ -266,6 +277,7 @@ class TestExitCodes:
             {"n_paths": True},
             {"n_paths": 1500.5},
             {"block_size": float("inf")},
+            {"block_size": 8192},
             {"dt": False},
             {"dt": "fast"},
             {"threshold": None},
@@ -286,6 +298,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
+        if "block_size" in update:  # a retired key, refused whatever its value
+            assert "unknown config key 'block_size'" in captured.err
         assert not (tmp_path / "r.csv").exists()
 
     @settings(

@@ -207,10 +207,12 @@ class TestReportDeterminism:
         for ea, eb in zip(a.report.entries, b.report.entries):
             assert ea == eb
 
-    def test_block_size_does_not_change_counts(self):
-        cfg1 = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=600, seed=13, block_size=100)
-        cfg2 = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=600, seed=13, block_size=600)
-        a, b = sc.run_scenario(cfg1), sc.run_scenario(cfg2)
+    def test_block_size_does_not_change_counts(self, monkeypatch):
+        cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=600, seed=13)
+        monkeypatch.setattr(sc, "_BLOCK_PATHS", 100)
+        a = sc.run_scenario(cfg)
+        monkeypatch.setattr(sc, "_BLOCK_PATHS", 600)
+        b = sc.run_scenario(cfg)
         for ea, eb in zip(a.report.entries, b.report.entries):
             assert ea.n_paths == eb.n_paths
             assert ea.mean == pytest.approx(eb.mean, abs=1e-12)
@@ -224,7 +226,7 @@ _STATISTICAL = [(name, "pitman-construction") for name in sc._RECORDS] + [("pitm
 def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
     """Tiles of 11 rows (which divide neither block size) and one tile per
     block, on 1, 2 and 3 threads, give equal entries and verdicts, corrected
-    and control, at block sizes 100 and 777: each block reduces the same
+    and control, at ``_BLOCK_PATHS`` 100 and 777: each block reduces the same
     per-path vector, in the same order."""
 
     def runs(threads, tile_rows):
@@ -233,9 +235,10 @@ def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
         monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows * threads)
         out = []
         for control in (False, True):
-            for block_size in (100, 777):
+            for block_paths in (100, 777):
+                monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
                 run = sc.run_scenario(sc.ScenarioConfig(
-                    scenario=scenario, dt=1e-2, n_paths=1000, seed=4, block_size=block_size,
+                    scenario=scenario, dt=1e-2, n_paths=1000, seed=4,
                     no_correction=control, bes_method=method))
                 out.append((run.report.verdict, run.passed, [
                     (e.s, e.t, e.functional, e.mean, e.stderr, e.z, e.n_paths, e.passed)
@@ -265,15 +268,15 @@ def _traced_peak(cfg) -> int:
 @pytest.mark.parametrize("scenario", list(sc._RECORDS))
 def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
     # blocks are built in tiles, so the traced peak is set by the tile, not
-    # by block_size (a whole block of 6 000 paths would be 3x the peak of
+    # by _BLOCK_PATHS (a whole block of 6 000 paths would be 3x the peak of
     # blocks of 2 048); the tiles in flight share one budget, so more
     # threads do not mean more memory (a full budget per thread would double
     # the peak at 2).  The block-size case runs on one thread: with more,
     # the peak depends on how the tiles in flight happen to overlap.
-    def peak(block_size, threads):
+    def peak(block_paths, threads):
         monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
-        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000,
-                                              seed=2, block_size=block_size))
+        monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
+        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2))
 
     one = peak(8192, 1)
     assert one <= 1.25 * peak(2048, 1)
@@ -396,7 +399,7 @@ def test_record_rules_are_validated(capsys, name):
 
 @pytest.mark.parametrize("name, field, prefix, n_entries",
                          [("emery-before", "xi", "", 6), ("honest", "g", "pre|", 5)])
-def test_stopped_candidate_is_the_level_from_tau_on(name, field, prefix, n_entries):
+def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, prefix, n_entries):
     # a sampled touch puts the last passage on a grid time; the candidate is
     # the level from there on, so paths stopped by s add exact zeros
     cfg = sc.ScenarioConfig(scenario=name, dt=0.01, n_paths=3000, seed=3)
@@ -404,8 +407,9 @@ def test_stopped_candidate_is_the_level_from_tau_on(name, field, prefix, n_entri
     tau = getattr(ctx, field)
     assert np.mean(np.isin(tau, ctx.times)) > 0.4
     for control in (False, True):
-        for block_size in (100, 8192):
-            run = sc.run_scenario(replace(cfg, no_correction=control, block_size=block_size))
+        for block_paths in (100, 8192):
+            monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
+            run = sc.run_scenario(replace(cfg, no_correction=control))
             entries = [e for e in run.report.entries if e.functional == f"{prefix}1[{field}<=s]"]
             assert len(entries) == n_entries
             assert all(e.mean == 0.0 and e.stderr == 0.0 for e in entries)
@@ -421,12 +425,13 @@ def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
         out = []
         for control in (False, True):
             cfg = sc.ScenarioConfig(scenario=scenario, dt=0.01, n_paths=300, seed=5,
-                                    block_size=128, no_correction=control, bes_method=method)
+                                    no_correction=control, bes_method=method)
             path = tmp_path / f"{tag}-{control}.csv"
             emit_report(sc.run_scenario(cfg), "csv", str(path))
             out.append(path.read_bytes())
         return out
 
+    monkeypatch.setattr(sc, "_BLOCK_PATHS", 128)
     fast = reports("fast")
     monkeypatch.setattr(sc, "draw_rows", draw_rows_per_path)
     monkeypatch.setattr(P, "draw_rows", draw_rows_per_path)
