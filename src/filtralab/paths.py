@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDegeneracyError
 from .grids import TimeGrid
-from .rng import stream_key, substream
+from .rng import stream_keys, substream
 
 __all__ = [
     "ScaleFunction",
@@ -68,32 +68,46 @@ def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.nda
     ``draw(gen, row)`` writes its draws into ``row`` in place (through the
     generator's ``out=``); a 1-D ``out`` passes each element as a length-1
     view.  One generator serves the whole call.  Before each later row its
-    Philox bit generator is re-keyed to that path's stream, with the counter
-    and the buffered state (``buffer``, ``buffer_pos``, ``has_uint32``,
-    ``uinteger``) reset to those of a new generator, so every row draws
-    exactly its own path's stream at a fraction of a new generator's cost.
+    Philox bit generator is re-keyed to that path's stream (the call's keys
+    are built at once), with the counter and the buffered state (``buffer``,
+    ``buffer_pos``, ``has_uint32``, ``uinteger``) reset to those of a new
+    generator, so every row draws exactly its own path's stream at a
+    fraction of a new generator's cost.
     """
     gen = substream(seed, purpose, lo)
     bits = gen.bit_generator
     fresh = bits.state
+    keys = stream_keys(seed, purpose, lo, len(out))
     for k in range(len(out)):
         if k:
-            fresh["state"]["key"] = stream_key(seed, purpose, lo + k)
+            fresh["state"]["key"] = keys[k]
             bits.state = fresh
         draw(gen, out[k:k + 1] if out.ndim == 1 else out[k])
     return out
 
 
+def _bridge_extremum(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray, side) -> np.ndarray:
+    """0.5 * side(x + y, sqrt((y - x)**2 - 2 dt log u)) with two temporaries."""
+    disc = np.subtract(y, x)
+    np.square(disc, out=disc)
+    out = np.log(u)
+    out *= 2.0 * dt
+    disc -= out
+    np.sqrt(disc, out=disc)
+    np.add(x, y, out=out)
+    side(out, disc, out=out)
+    out *= 0.5
+    return out
+
+
 def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
     """Exact running-maximum draw of a Brownian bridge from x to y over dt."""
-    disc = (y - x) ** 2 - 2.0 * dt * np.log(u)
-    return 0.5 * (x + y + np.sqrt(disc))
+    return _bridge_extremum(x, y, dt, u, np.add)
 
 
 def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
     """Exact running-minimum draw of a Brownian bridge from x to y over dt."""
-    disc = (y - x) ** 2 - 2.0 * dt * np.log(u)
-    return 0.5 * (x + y - np.sqrt(disc))
+    return _bridge_extremum(x, y, dt, u, np.subtract)
 
 
 def pitman_from_draws(
@@ -115,13 +129,17 @@ def pitman_from_draws(
     j0 = r0 * np.asarray(j0_uniform)[..., None]
     b = np.empty(normals.shape[:-1] + (normals.shape[-1] + 1,))
     b[..., :1] = 2.0 * j0 - r0
-    np.cumsum(normals * math.sqrt(dt), axis=-1, out=b[..., 1:])
+    np.multiply(normals, math.sqrt(dt), out=b[..., 1:])
+    np.cumsum(b[..., 1:], axis=-1, out=b[..., 1:])
     b[..., 1:] += b[..., :1]
     step_max = _bridge_max(b[..., :-1], b[..., 1:], dt, bridge_uniforms)
     sup = np.empty_like(b)
     sup[..., :1] = b[..., :1]
     np.maximum.accumulate(step_max, axis=-1, out=sup[..., 1:])
-    return 2.0 * np.maximum(j0, sup) - b
+    np.maximum(j0, sup, out=sup)
+    sup *= 2.0
+    sup -= b
+    return sup
 
 
 def euler_bes3_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:

@@ -16,6 +16,8 @@ pitman, glue-demo, elemint-check.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -66,18 +68,15 @@ _DAMP_SCALE = 0.3
 # The after-side candidates integrate only steps ending by this time.
 _AFTER_CAP = 0.9
 # Bytes of the (paths x grid points) float64 matrices of all tiles in flight;
-# each of a run's threads builds tiles of its share.  Past glibc's 32 MiB
-# mmap threshold each temporary is a fresh mapping whose pages fault in anew;
-# tiles keep them small and peak memory independent of the run's size and of
-# the thread count.
-_TILE_BYTES = 4 << 20
+# each of a run's threads builds tiles of its share.  Tiles keep peak memory
+# independent of the run's size and of the thread count.
+_TILE_BYTES = 2 << 20
 # Paths per block: each entry's per-path values are summed once per block,
 # so this fixes the order of the sums and with it a report's last bits.
 _BLOCK_PATHS = 8192
-# The smallest share of _TILE_BYTES a thread gets: tiles of 2-8 MiB were
-# measured fastest, and smaller ones spend their time in per-tile Python
-# that holds the GIL and in fresh allocations.
-_MIN_TILE_BYTES = 2 << 20
+# The smallest share of _TILE_BYTES a thread gets: with half of it, `honest`
+# at dt 5e-4 ran about 25 % slower on two threads, in per-tile Python.
+_MIN_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -333,6 +332,35 @@ def _tile_rows(grid: TimeGrid, threads: int) -> int:
     return max(1, _TILE_BYTES // threads // (8 * (grid.n + 1)))
 
 
+try:  # glibc's allocator controls; None under another C library
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.mallopt.argtypes, _LIBC.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _LIBC.malloc_trim.argtypes, _LIBC.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _LIBC = None
+
+
+@contextlib.contextmanager
+def _tile_memory_kept():
+    """Keep freed memory in glibc's arenas while a run is inside, then give
+    the free pages back.
+
+    By default glibc returns freed memory to the kernel once its arenas hold
+    about twice its dynamic mmap threshold (a few MiB), so every tile faulted
+    its temporaries in anew.  The thresholds set here, the top of glibc's own
+    dynamic range, stay set for the process; without glibc this does nothing.
+    """
+    if _LIBC is None:
+        yield
+        return
+    _LIBC.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _LIBC.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    try:
+        yield
+    finally:
+        _LIBC.malloc_trim(0)
+
+
 def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     """Run every block through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
@@ -341,7 +369,8 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     on ``_tile_threads()`` threads and share ``_TILE_BYTES`` per path matrix;
     every kernel works row by row, so a tile's per-path values are those of
     its rows in the whole block.  They go into one buffer per entry, reduced
-    once per block, in key order, after all its tiles.  Candidates,
+    once per block, in key order, after all its tiles.  The next tile reuses
+    a tile's freed memory (``_tile_memory_kept``).  Candidates,
     functionals and levels see a tile up to the last column any of them
     reads; no entry reads a later one.  A run with no suite entry is refused.
     A block builder wrapped from outside (it carries ``__wrapped__``, as
@@ -365,7 +394,7 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
     threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
     rows = _tile_rows(grid, threads)
-    with ThreadPoolExecutor(threads) as pool:
+    with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
         for lo in range(0, cfg.n_paths, _BLOCK_PATHS):
             hi = min(lo + _BLOCK_PATHS, cfg.n_paths)
             vals = {key: np.empty(hi - lo) for key in sinks}

@@ -287,13 +287,33 @@ def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
 def test_tile_threads_keep_the_smallest_measured_tile(monkeypatch, cpus, threads):
     # one thread per CPU of the affinity mask, or of os.cpu_count() without
-    # one, but never so many that a thread's tile drops below 2 MiB
+    # one, but never so many that a thread's tile drops below _MIN_TILE_BYTES
+    # (1 MiB)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert sc._tile_threads() == threads
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sc._tile_threads() == threads
     assert sc._TILE_BYTES // threads >= sc._MIN_TILE_BYTES
+
+
+@pytest.mark.skipif(sc._LIBC is None, reason="the C library has no mallopt (not glibc)")
+@pytest.mark.parametrize("scenario", ["honest", "pitman", "supremum"])
+def test_a_repeated_run_reuses_its_tile_memory(scenario):
+    # glibc keeps each tile's freed temporaries for the next tile, so the
+    # second of two equal runs in one process faults in almost no new pages:
+    # 100-2 500 minor faults, against 18 700 (honest), 38 900 (pitman) and
+    # 50 100 (supremum) when glibc hands each tile's memory back.
+    import resource
+
+    def faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    cfg = sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=3000, seed=5)
+    sc.run_scenario(cfg)
+    before = faults()
+    sc.run_scenario(cfg)
+    assert faults() - before <= 5000
 
 
 class TestFunctionalCatalog:
