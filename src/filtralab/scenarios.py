@@ -75,7 +75,7 @@ _TILE_BYTES = 2 << 20
 # so this fixes the order of the sums and with it a report's last bits.
 _BLOCK_PATHS = 8192
 # The smallest share of _TILE_BYTES a thread gets: with half of it, `honest`
-# at dt 5e-4 ran about 25 % slower on two threads, in per-tile Python.
+# at dt 5e-4 ran about 14 % slower on two threads, in per-tile overhead.
 _MIN_TILE_BYTES = 1 << 20
 
 
