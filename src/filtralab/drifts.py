@@ -6,7 +6,9 @@ and its derivative, the running-supremum instance rate and the
 after-last-passage rate.  The scenarios' block kernels evaluate the drifts
 from these over whole blocks of paths, at the left endpoint of each step
 (the predictable convention); ``emery_Z`` and ``honest_Z`` are the closed
-forms those kernels are tested against.
+forms those kernels are tested against.  ``scipy.special`` is imported by
+the functions that evaluate it, when they run: a run that needs none of
+them never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .errors import DomainError, SingularityError
 
@@ -41,6 +42,8 @@ def h_func(y):
     Integration by parts gives h(y) = erf(y/sqrt(2)) - sqrt(2/pi)*y*exp(-y^2/2);
     h(0) = 0 and h(inf) = 1.
     """
+    from scipy.special import erf
+
     y = np.asarray(y, dtype=float)
     return erf(y / math.sqrt(2.0)) - _SQRT_2_OVER_PI * y * np.exp(-0.5 * y * y)
 
@@ -57,6 +60,8 @@ def emery_Z(w, t):
     Z = 1 - h(|w| / sqrt(1-t)), computed through the complement form
     erfc + tail so it stays strictly positive in floating point.
     """
+    from scipy.special import erfc
+
     t = np.asarray(t, dtype=float)
     if np.any(t >= 1.0):
         raise DomainError("emery_Z requires t < 1")
@@ -70,6 +75,8 @@ def honest_Z(w, t):
     The reflection principle gives Z = P[a zero occurs in (t, 1] | W_t]
     = erfc(|w| / sqrt(2(1-t))).
     """
+    from scipy.special import erfc
+
     t = np.asarray(t, dtype=float)
     if np.any(t >= 1.0):
         raise DomainError("honest_Z requires t < 1")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import DataError, InternalConsistencyError
 from .grids import GridPath, TimeGrid, cumulative
@@ -396,6 +395,8 @@ def boundary_half_local_time(
     pathwise local-time checks feasible: raw ladder sums on a grid miss a
     dt-independent fraction of the boundary mass.
     """
+    from scipy.special import erfcx  # imported here: no other gluing code needs it
+
     gap = np.asarray(gap, dtype=float)
     weight = np.asarray(weight, dtype=float)
     if len(weight) != len(gap) - 1:

@@ -8,6 +8,7 @@ increments into the running sums that every integral on a grid is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,8 @@ class TimeGrid:
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Index of the grid point equal to t (within tol * dt)."""
-        k = round((t - self.t0) / self.dt)
+        x = (t - self.t0) / self.dt
+        k = round(x) if math.isfinite(x) else -1  # an overflowed t is refused below
         if k < 0 or k > self.n or abs(self.t0 + k * self.dt - t) > tol * self.dt:
             raise ConfigurationError(f"{t} is not a grid time of {self}")
         return int(k)

@@ -86,11 +86,13 @@ def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.nda
     return out
 
 
-def _bridge_extremum(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray, side) -> np.ndarray:
-    """0.5 * side(x + y, sqrt((y - x)**2 - 2 dt log u)) with two temporaries."""
+def _bridge_extremum(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray, side,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * side(x + y, sqrt((y - x)**2 - 2 dt log u)) with two temporaries,
+    the second of them ``out`` when given."""
     disc = np.subtract(y, x)
     np.square(disc, out=disc)
-    out = np.log(u)
+    out = np.log(u, out=out)
     out *= 2.0 * dt
     disc -= out
     np.sqrt(disc, out=disc)
@@ -100,14 +102,16 @@ def _bridge_extremum(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray, sid
     return out
 
 
-def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
+def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Exact running-maximum draw of a Brownian bridge from x to y over dt."""
-    return _bridge_extremum(x, y, dt, u, np.add)
+    return _bridge_extremum(x, y, dt, u, np.add, out)
 
 
-def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
+def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Exact running-minimum draw of a Brownian bridge from x to y over dt."""
-    return _bridge_extremum(x, y, dt, u, np.subtract)
+    return _bridge_extremum(x, y, dt, u, np.subtract, out)
 
 
 def pitman_from_draws(
@@ -132,10 +136,10 @@ def pitman_from_draws(
     np.multiply(normals, math.sqrt(dt), out=b[..., 1:])
     np.cumsum(b[..., 1:], axis=-1, out=b[..., 1:])
     b[..., 1:] += b[..., :1]
-    step_max = _bridge_max(b[..., :-1], b[..., 1:], dt, bridge_uniforms)
     sup = np.empty_like(b)
     sup[..., :1] = b[..., :1]
-    np.maximum.accumulate(step_max, axis=-1, out=sup[..., 1:])
+    _bridge_max(b[..., :-1], b[..., 1:], dt, bridge_uniforms, out=sup[..., 1:])
+    np.maximum.accumulate(sup[..., 1:], axis=-1, out=sup[..., 1:])
     np.maximum(j0, sup, out=sup)
     sup *= 2.0
     sup -= b

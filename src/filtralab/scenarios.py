@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .drifts import (
     emery_after_rate,
@@ -114,6 +113,10 @@ class ScenarioConfig:
         if rec.unit_horizon and self.horizon != 1.0:
             raise ConfigurationError(f"the {self.scenario} scenario is defined on horizon 1")
         steps = self.horizon / self.dt
+        if steps == math.inf:
+            raise ConfigurationError(
+                f"horizon / dt = {self.horizon:g} / {self.dt:g} overflows: too many grid steps"
+            )
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"dt = {self.dt} does not divide horizon = {self.horizon}"
@@ -219,7 +222,9 @@ class Scenario(NamedTuple):
 
     ``unit_horizon`` marks a scenario defined on [0, 1] only, and
     ``window_end`` the time by which the last step of its correction window
-    ends (None: no window rule).
+    ends (None: no window rule).  ``special`` marks a run whose kernels
+    evaluate ``scipy.special`` (the corrected last-passage runs whose rate
+    reads Z), which no other run imports.
     """
 
     block: Callable
@@ -227,6 +232,7 @@ class Scenario(NamedTuple):
     unit_horizon: bool = False
     window_end: float | None = None
     levels: Levels | None = None
+    special: bool = False
 
     def times(self) -> list:
         """The times whose grid columns a run reads; each must be a grid time."""
@@ -392,6 +398,10 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     }
     sinks = accs | levels  # suite keys are tuples, level keys times
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
+    if rec.special:
+        # Imported on this thread before the tiles start: a first import
+        # inside a tile thread leaves its memory in that thread's arena.
+        import scipy.special  # noqa: F401
     threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
     rows = _tile_rows(grid, threads)
     with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
@@ -663,6 +673,8 @@ def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Block
 
 
 def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
+    from scipy.special import erfc
+
     return erfc(y / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * y * np.exp(-0.5 * y * y)
 
 
@@ -713,6 +725,8 @@ def _honest_rate_parts(ctx: BlockContext):
     dNdW = -2 phi(|W|/sqrt(1-t)) sgn(W)/sqrt(1-t) with phi the standard
     normal density, its derivative in w.
     """
+    from scipy.special import erfc
+
     root = np.sqrt(1.0 - ctx.times[:-1])
     w = ctx.W[:, :-1]
     # y = |w|/root, z = erfc(y/sqrt 2), phi = exp(-0.5*y*y)/sqrt(2 pi) and
@@ -791,10 +805,15 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
                        lambda gen, row: gen.random(out=row))
     np.subtract(1.0, u_tail, out=u_tail)
     tails = reciprocal_scale().tail_sample(r[:, -1], u_tail)
-    step_min = _bridge_min(r[:, :-1], r[:, 1:], grid.dt, _bridge_uniforms(cfg.seed, lo, nb, n))
-    ext = np.concatenate([step_min, np.minimum(r[:, -1], tails)[:, None]], axis=1)
-    inf_path = np.minimum.accumulate(ext[:, ::-1], axis=1)[:, ::-1]
-    return BlockContext(grid, grid.times(), r, I=inf_path, transform=2.0 * inf_path - r)
+    # the step minima and min(R_1, tail) in one buffer, which becomes I in place
+    inf_path = np.empty_like(r)
+    _bridge_min(r[:, :-1], r[:, 1:], grid.dt, _bridge_uniforms(cfg.seed, lo, nb, n),
+                out=inf_path[:, :-1])
+    np.minimum(r[:, -1], tails, out=inf_path[:, -1])
+    np.minimum.accumulate(inf_path[:, ::-1], axis=1, out=inf_path[:, ::-1])
+    transform = np.multiply(2.0, inf_path)
+    transform -= r
+    return BlockContext(grid, grid.times(), r, I=inf_path, transform=transform)
 
 
 def _pitman_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -961,6 +980,7 @@ _RECORDS = {
         (Leg("", _emery_before_candidate, lambda s, t: _before_functionals("xi"),
              _chain(0.1, 0.3, 0.5, 0.7, 0.9) + ((0.1, 0.5), (0.5, 0.9))),),
         unit_horizon=True,
+        special=not cfg.no_correction,
     ),
     "emery-after": lambda cfg: Scenario(
         _emery_block,
@@ -977,6 +997,7 @@ _RECORDS = {
              _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),))),
         unit_horizon=True,
         window_end=_AFTER_CAP,
+        special=not cfg.no_correction,
     ),
     "pitman": lambda cfg: Scenario(
         _pitman_block,

@@ -6,17 +6,18 @@ time-s information.  The suite evaluates this across a checkpoint grid and
 a functional family, with Bonferroni control across entries.
 
 Aggregation is associative over path shards: every statistic reduces to
-(count, sum, sum of squares), so sharded and whole-ensemble runs agree.
+(count, sum, sum of squares), so sharded and whole-ensemble runs agree up
+to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, InsufficientSampleError
 
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 _BOUND_TOL = 1e-9
+_STD_NORMAL = NormalDist()
+# log(DBL_MAX): past x*x of this, scipy's erfc(x) (and with it ndtr) returns 0
+_ERFC_UNDERFLOW = 709.782712893384
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,17 @@ def bonferroni_threshold(nominal_z: float, n_entries: int) -> float:
     """Per-entry |z| threshold holding the familywise level of nominal_z.
 
     The nominal two-sided tail mass 2*(1-Phi(nominal_z)) is split evenly
-    across entries and mapped back through the Gaussian quantile.
+    across entries and mapped back through the Gaussian quantile.  The
+    upper tail of each entry, erfc(nominal_z/sqrt 2)/(2 n_entries), is taken
+    as 0 where scipy's ``ndtr`` underflows, so the threshold is inf there
+    as before; elsewhere this agrees with ``-ndtri(ndtr(-z)/n)`` within a
+    few ulp.
     """
     if n_entries <= 1:
         return nominal_z
-    p_nominal = 2.0 * ndtr(-nominal_z)
-    return float(-ndtri(p_nominal / (2.0 * n_entries)))
+    x = nominal_z * math.sqrt(0.5)
+    tail = 0.0 if x > 0.0 and x * x > _ERFC_UNDERFLOW else math.erfc(x) / (2.0 * n_entries)
+    return math.inf if tail == 0.0 else -_STD_NORMAL.inv_cdf(tail)
 
 
 def martingale_suite(accumulators: dict, threshold: float = 3.0) -> MartingaleTestReport:

@@ -241,6 +241,7 @@ class TestExitCodes:
             "dt = inf",
             "horizon = inf",
             "horizon = 2",
+            "scenario = pitman, horizon = 1e308",
             "delta = 1",
             "delta = 2",
             "delta = 0.995",
@@ -387,6 +388,27 @@ class TestExitCodes:
 
 
 class TestConsoleScript:
+    def test_only_erfc_runs_load_scipy_special(self):
+        # a fresh interpreter: this one has scipy.special loaded already
+        import filtralab
+
+        script = "\n".join([
+            "import sys",
+            "from filtralab.cli import main",
+            "small = ['--n-paths', '200', '--dt', '0.01', '--seed', '2']",
+            "for sc in ('pitman', 'bridge', 'supremum'):",
+            "    assert main(['--scenario', sc] + small) in (0, 1)",
+            "for sc in ('glue-demo', 'elemint-check'):",
+            "    assert main(['--scenario', sc, '--seed', '2']) in (0, 1)",
+            "assert 'scipy.special' not in sys.modules",
+            "assert main(['--scenario', 'honest'] + small) in (0, 1)",
+            "assert 'scipy.special' in sys.modules",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(filtralab.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_help_exits_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "filtralab.cli", "--help"], capture_output=True, text=True

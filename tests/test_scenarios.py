@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from filtralab.drifts import emery_Z, honest_Z
 from filtralab.errors import ConfigurationError
@@ -53,6 +54,30 @@ class TestScenarioConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigurationError):
             sc.ScenarioConfig(scenario="mystery").validated()
+
+    # Extreme floats, mixed with values near the valid ranges so that the
+    # later rules (divisibility, delta, checkpoints) are reached too.
+    @settings(max_examples=400, deadline=None)
+    # pitman's checkpoints h*k/10 overflow to inf where h/dt does not
+    @example("pitman", 1e308, 1.0, 1.0, 3.0, 100, "pitman-construction")
+    @given(
+        scenario=st.sampled_from(sorted(sc._RECORDS)),
+        horizon=st.one_of(st.floats(), st.sampled_from([1.0, 2.0, 1e300, 1e308])),
+        dt=st.one_of(st.floats(), st.sampled_from([1e-3, 0.01, 0.5, 1.0, 1e-300, 5e-324])),
+        delta=st.one_of(st.floats(), st.sampled_from([0.01, 0.05, 1.0, 1e300])),
+        threshold=st.floats(),
+        n_paths=st.integers(max_value=10**30),
+        bes_method=st.sampled_from(["pitman-construction", "euler-sde"]),
+    )
+    def test_validated_returns_or_refuses(self, scenario, horizon, dt, delta, threshold,
+                                          n_paths, bes_method):
+        # runs no scenario: validation alone, which ends in a config or a refusal
+        cfg = sc.ScenarioConfig(scenario=scenario, horizon=horizon, dt=dt, delta=delta,
+                                threshold=threshold, n_paths=n_paths, bes_method=bes_method)
+        try:
+            assert cfg.validated() is cfg
+        except ConfigurationError:
+            pass
 
 
 class TestBlockKernels:

@@ -104,6 +104,36 @@ class TestBonferroni:
         assert bonferroni_threshold(3.0, 1) == 3.0
 
 
+class TestBonferroniAgainstScipy:
+    """The standard-library threshold against scipy's ndtr/ndtri form."""
+
+    @staticmethod
+    def _scipy(z, n):
+        from scipy.special import ndtr, ndtri
+
+        return float(-ndtri(ndtr(-z) / n))
+
+    def test_within_8_ulp_over_a_grid(self):
+        for z in np.linspace(0.05, 8.0, 160):
+            for n in (2, 3, 7, 16, 38, 101, 256, 400):
+                want = self._scipy(z, n)
+                assert abs(bonferroni_threshold(z, n) - want) <= 8 * math.ulp(want), (z, n)
+
+    def test_inf_where_scipy_underflows(self):
+        # (z/sqrt 2)^2 passes log(DBL_MAX) = 709.78... at z = 37.677...:
+        # below that both are finite and agree, past it both are inf
+        edge = math.sqrt(2.0 * 709.782712893384)
+        for z in (37.0, 37.6, edge - 1e-9, edge + 1e-9, 37.7, 38.0, 38.4, 38.6, 40.0):
+            for n in (2, 38, 400):
+                want = self._scipy(z, n)
+                got = bonferroni_threshold(z, n)
+                if math.isinf(want):
+                    assert got == math.inf, (z, n)
+                else:
+                    assert abs(got - want) <= 8 * math.ulp(want), (z, n)
+        assert math.isinf(self._scipy(edge + 1e-9, 2)) and not math.isinf(self._scipy(edge - 1e-9, 2))
+
+
 class TestMartingaleSuite:
     def test_vacuous_pass_flagged(self):
         report = martingale_suite({})
