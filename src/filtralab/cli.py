@@ -182,8 +182,14 @@ def build_config(argv) -> ScenarioConfig:
 def run(config: ScenarioConfig) -> int:
     """Execute one scenario end to end; returns the process exit code."""
     try:
-        config = config.validated()
         result = run_scenario(config)
+    except MemoryError:
+        print(
+            f"filtralab: config error: a grid of {config.horizon / config.dt:.0f} steps "
+            "does not fit in memory",
+            file=sys.stderr,
+        )
+        return 2
     except NumericalDegeneracyError as exc:
         print(f"filtralab: numerical degeneracy: {exc}", file=sys.stderr)
         return 3

@@ -13,6 +13,7 @@ An unbounded right endpoint is represented by ``math.inf`` and the interval
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -72,8 +73,7 @@ class LeftStepFunction:
         if not (self.a < t <= self.b):
             return 0.0
         # first index with breakpoints[i] >= t; covering interval is i-1
-        i = int(np.searchsorted(self.breakpoints, t, side="left"))
-        return self.levels[i - 1]
+        return self.levels[bisect.bisect_left(self.breakpoints, t) - 1]
 
     def scaled(self, alpha: float) -> "LeftStepFunction":
         return LeftStepFunction(self.breakpoints, tuple(alpha * d for d in self.levels))
@@ -157,10 +157,12 @@ def elem_integral(h: LeftStepFunction, f: CadlagFunction) -> CadlagFunction:
     x, d = h.breakpoints, h.levels
 
     def fn(t: float) -> float:
-        # f^t at each breakpoint, evaluated once for the two pieces meeting there
-        fx = [f.fn(min(t, xi)) for xi in x]
+        # f^t at the breakpoints below t and once at t: f^t is f(t) at every
+        # later breakpoint, so the pieces past t add exact zeros and are skipped
+        k = bisect.bisect_left(x, t)
+        fx = [f.fn(xi) for xi in x[:k]] + [f.fn(t)]
         total = 0.0
-        for i, di in enumerate(d):
+        for i, di in enumerate(d[:k]):
             if di != 0.0:
                 total += di * (fx[i + 1] - fx[i])
         return total
@@ -286,8 +288,9 @@ def union_integral(
     """Limit of 1_{(a,b]} 1_{union of the first n intervals} . f over (a, b].
 
     For a finite family the limit is reached at n = len(intervals); when the
-    window is covered it equals 1_{(a,b]}.f = f - f(a) exactly.  A coverage
-    gap raises ``CoverageError`` carrying an uncovered witness point.
+    window is covered it is the elementary integral 1_{(a,b]}.f = f^b - f^a.
+    A coverage gap raises ``CoverageError`` carrying an uncovered witness
+    point, and a window outside the domain of f raises ``DomainError``.
     """
     a, b = float(window[0]), float(window[1])
     if not (a < b):
@@ -302,25 +305,10 @@ def union_integral(
         witness = covering[0][1] if covering else a + min(1.0, (b - a)) * 0.5
         raise CoverageError(f"window point {witness} is not covered", witness=witness)
 
-    # Partial-union form of the integral: clip each component to the window
-    # and sum the stopped differences.  With full coverage this telescopes
-    # to f - f(a), but we keep the sum so the computation follows the
-    # definition rather than its consequence.
-    clipped = []
-    for lo, hi in components:
-        lo2, hi2 = max(lo, a), min(hi, b)
-        if lo2 < hi2:
-            clipped.append((lo2, hi2))
-
-    def fn(t: float) -> float:
-        total = 0.0
-        for lo, hi in clipped:
-            total += f.fn(min(t, hi)) - f.fn(min(t, lo))
-        return total
-
-    jumps = tuple(
-        (loc, size)
-        for loc, size in f.jumps
-        if a < loc <= b and any(lo < loc <= hi for lo, hi in clipped)
+    # One component covers (a, b], so every partial union from there on
+    # restricts to the window itself.
+    x = sorted({f.a, a, b, f.b})
+    window_indicator = LeftStepFunction(
+        tuple(x), tuple(float(a <= lo and hi <= b) for lo, hi in zip(x, x[1:]))
     )
-    return CadlagFunction(fn, f.a, f.b, jumps)
+    return elem_integral(window_indicator, f)

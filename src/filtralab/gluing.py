@@ -148,16 +148,20 @@ class GluedDecomposition:
 # ---------------------------------------------------------------------------
 
 
+def _dR_times(times: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """d_{t_k} per grid point: the first uncovered grid time >= t_k, inf if none."""
+    n1 = len(covered)
+    first = np.minimum.accumulate(np.where(covered, n1, np.arange(n1))[::-1])[::-1]
+    return np.append(times, math.inf)[first]
+
+
 def compute_dR(system: PieceSystem, R: float) -> float:
     """First grid time >= R not covered by any piece; math.inf if none."""
     grid = system.grid
-    times = grid.times()
-    covered = system.covered_mask()
     start = max(0, math.ceil(round((R - grid.t0) / grid.dt, 9)))
-    for k in range(start, grid.n + 1):
-        if not covered[k]:
-            return float(times[k])
-    return math.inf
+    if start > grid.n:
+        return math.inf
+    return float(_dR_times(grid.times(), system.covered_mask())[start])
 
 
 def _uncovered_prefix_index(grid: TimeGrid, covered: np.ndarray) -> np.ndarray:
@@ -166,28 +170,16 @@ def _uncovered_prefix_index(grid: TimeGrid, covered: np.ndarray) -> np.ndarray:
     When no such point exists the value is the index absolute time 0 would
     have (the convention g = 0), which is 0 on the usual t0 = 0 grids.
     """
-    g = np.zeros(grid.n + 1, dtype=np.int64)
-    last = -int(round(grid.t0 / grid.dt))
-    g[0] = last
-    for k in range(1, grid.n + 1):
-        if not covered[k - 1]:
-            last = k - 1
-        g[k] = last
-    return g
+    last = np.maximum.accumulate(np.where(covered, -1, np.arange(grid.n + 1)))
+    g = np.concatenate(([-1], last[:-1]))
+    return np.where(g >= 0, g, -int(round(grid.t0 / grid.dt)))
 
 
 def _mask_runs(mask: np.ndarray):
     """Maximal index runs [a, b] (inclusive) of True entries."""
-    runs = []
-    k, n = 0, len(mask)
-    while k < n:
-        if mask[k]:
-            a = k
-            while k + 1 < n and mask[k + 1]:
-                k += 1
-            runs.append((a, k))
-        k += 1
-    return runs
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [(int(a), int(b) - 1) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def build_sets(system: PieceSystem, eps_list) -> tuple:
@@ -214,6 +206,7 @@ def build_sets(system: PieceSystem, eps_list) -> tuple:
     c_jumps[idx] = d[idx] - d[idx - 1]
 
     g_idx = _uncovered_prefix_index(grid, covered)
+    d_times = _dR_times(times, covered)
     eps_masks: dict = {}
     ladders: dict = {}
     for eps in eps_list:
@@ -230,8 +223,7 @@ def build_sets(system: PieceSystem, eps_list) -> tuple:
             # the continuum infimum of the rung sits one grid step before the
             # first masked point; use the stored grid time so rebuilds are exact
             r_n = times[a - 1] if a >= 1 else times[a] - grid.dt
-            d_rn = compute_dR(system, times[a])
-            rungs.append((float(r_n), d_rn))
+            rungs.append((float(r_n), float(d_times[a])))
         eps_masks[eps] = mask
         ladders[eps] = rungs
     return a_mask, c_jumps, eps_masks, ladders

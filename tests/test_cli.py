@@ -372,6 +372,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("filtralab: numerical degeneracy: ") and err.count("\n") == 1
 
+    def test_grid_too_large_for_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a block builder stands in for a path row too long to allocate
+        from filtralab import scenarios
+
+        def bridge_block(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scenarios, "_bridge_block", bridge_block)
+        cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=200, seed=1,
+                             out_path=str(tmp_path / "r.csv"))
+        assert run(cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("filtralab: config error: a grid of 100 steps ")
+        assert "MemoryError" not in captured.err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_euler_sde_reflects_instead_of_failing(self, tmp_path):
         # the reflecting integrator runs the config that once stopped at path 1032
         out = tmp_path / "r.csv"

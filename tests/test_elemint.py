@@ -94,8 +94,8 @@ class TestElemIntegral:
             ei.elem_integral(h, f)
 
     def test_matches_per_piece_oracle(self):
-        # f is evaluated once per breakpoint; the sum equals the piece-by-piece
-        # form bit for bit, zero levels included
+        # f is evaluated at the breakpoints below t and once at t; the sum
+        # equals the piece-by-piece form bit for bit, zero levels included
         rng = np.random.default_rng(17)
         for _ in range(300):
             h = _random_step(rng, 0.0, 2.0)
@@ -105,6 +105,23 @@ class TestElemIntegral:
             out = ei.elem_integral(h, f)
             for t in rng.uniform(-0.5, 2.5, size=10):
                 assert out(t) == elem_integral_per_piece(h, f, t)
+
+    def test_f_called_at_breakpoints_below_t_and_once_at_t(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            h = _random_step(rng, 0.0, 2.0)
+            base = _random_cadlag(rng, 0.0, 2.0)
+            calls = []
+
+            def fn(t, base=base, calls=calls):
+                calls.append(t)
+                return base.fn(t)
+
+            out = ei.elem_integral(h, ei.CadlagFunction(fn, 0.0, 2.0, base.jumps))
+            for t in (*rng.uniform(-0.5, 2.5, size=5), *h.breakpoints):
+                calls.clear()
+                out(t)
+                assert len(calls) <= sum(x < t for x in h.breakpoints) + 1
 
     def test_jump_rule(self):
         # jump of the integral at t is h(t) * jump of f
@@ -179,6 +196,15 @@ class TestUnionIntegral:
             ei.union_integral(s, f, (0.0, 2.0))
         assert err.value.witness is not None
         assert 0.8 < err.value.witness <= 1.2
+
+
+    def test_window_must_lie_in_the_domain_of_f(self):
+        s = ei.LeftIntervalSet(((-1.0, 3.0),))
+        f = quad_cadlag(0.0, 2.0)
+        for window in ((-0.5, 1.0), (1.0, 2.5)):
+            with pytest.raises(DomainError):
+                ei.union_integral(s, f, window)
+        assert ei.union_integral(s, f, (0.5, 1.5))(1.0) == f(1.0) - f(0.5)
 
 
 class TestGridPathView:

@@ -12,6 +12,8 @@ from filtralab.gluing import (
     PieceSystem,
     assemble_chi_union,
     boundary_half_local_time,
+    _mask_runs,
+    _uncovered_prefix_index,
     build_sets,
     compute_dR,
     glue,
@@ -106,6 +108,86 @@ class TestBuildSets:
         sys_ = make_system(0.25, np.zeros(5), np.zeros(5), [(0.0, 1.0)])
         with pytest.raises(DataError):
             build_sets(sys_, [0.3])
+
+
+@pytest.mark.parametrize("t0", [-0.3, 0.0, 0.25])
+class TestIndexHelpersOffOrigin:
+    """Index helpers against brute-force definitions on grids starting at t0."""
+
+    @staticmethod
+    def systems(t0, count=60):
+        rng = np.random.default_rng(41)
+        for _ in range(count):
+            dt = float(rng.choice([0.05, 0.1]))
+            n = int(rng.integers(1, 40))
+            grid = TimeGrid(t0, dt, n)
+            covered = rng.random(n + 1) < rng.uniform(0.2, 0.9)
+            times = grid.times()
+            # one piece (t_k - dt/2, t_k] per covered grid point
+            ivs = [(times[k] - 0.5 * dt, times[k]) for k in np.flatnonzero(covered)]
+            s = rng.normal(size=n + 1)
+            sys_ = PieceSystem.from_common_drift(
+                GridPath(grid, s), GridPath(grid, s), ivs, np.zeros(n)
+            )
+            assert np.array_equal(sys_.covered_mask(), covered)
+            yield sys_, covered
+
+    @staticmethod
+    def last_uncovered_before(grid, covered, k):
+        origin = -round(grid.t0 / grid.dt)  # index of absolute time 0
+        return max((j for j in range(k) if not covered[j]), default=origin)
+
+    @staticmethod
+    def first_uncovered_time_from(grid, covered, k):
+        times = grid.times()
+        return min((float(times[j]) for j in range(k, grid.n + 1) if not covered[j]),
+                   default=math.inf)
+
+    def test_uncovered_prefix_index(self, t0):
+        for sys_, covered in self.systems(t0):
+            want = [self.last_uncovered_before(sys_.grid, covered, k)
+                    for k in range(sys_.grid.n + 1)]
+            assert list(_uncovered_prefix_index(sys_.grid, covered)) == want
+
+    def test_mask_runs(self, t0):
+        for _, covered in self.systems(t0):
+            n = len(covered)
+            want = [
+                (a, b) for a in range(n) for b in range(a, n)
+                if covered[a:b + 1].all()
+                and (a == 0 or not covered[a - 1])
+                and (b == n - 1 or not covered[b + 1])
+            ]
+            got = _mask_runs(covered)
+            assert got == want
+            assert all(type(v) is int for run in got for v in run)
+
+    def test_compute_dR_on_off_and_past_the_grid(self, t0):
+        for sys_, covered in self.systems(t0):
+            grid = sys_.grid
+            probes = [(t0 - 1.0, 0), (t0 - 0.5 * grid.dt, 0),
+                      (grid.horizon + 0.5 * grid.dt, grid.n + 1), (grid.horizon + 1.0, grid.n + 1)]
+            for k, t in enumerate(grid.times()):
+                probes += [(t, k), (t + 0.5 * grid.dt, k + 1)]
+            for R, k in probes:
+                assert compute_dR(sys_, R) == self.first_uncovered_time_from(grid, covered, k)
+
+    def test_build_sets_ladders(self, t0):
+        for sys_, covered in self.systems(t0):
+            grid = sys_.grid
+            times = grid.times()
+            n = grid.n
+            eps_list = [grid.dt, 2 * grid.dt, 3 * grid.dt]
+            a_mask, _, eps_masks, ladders = build_sets(sys_, eps_list)
+            assert list(a_mask) == [False] + list(covered[:-1])
+            for m, eps in enumerate(eps_list, start=1):
+                mask = [bool(a_mask[k]) and k - self.last_uncovered_before(grid, covered, k) > m
+                        for k in range(n + 1)]
+                assert list(eps_masks[eps]) == mask
+                starts = [k for k in range(n + 1) if mask[k] and (k == 0 or not mask[k - 1])]
+                want = [(float(times[k - 1]) if k else float(times[0] - grid.dt),
+                         self.first_uncovered_time_from(grid, covered, k)) for k in starts]
+                assert ladders[eps] == want
 
 
 class TestAssembleChiUnion:
