@@ -9,6 +9,7 @@ environment variable as a seed fallback.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -19,73 +20,44 @@ from .scenarios import SCENARIOS, ScenarioConfig, ScenarioResult, run_scenario
 
 __all__ = ["main", "run", "emit_report", "build_config"]
 
-_CSV_HEADER = "scenario,s,t,functional,mean,stderr,z,n_paths,verdict"
+# Each report column, with the parser that reads its JSON value back from
+# the column string.
+_COLUMNS = {
+    "scenario": str, "s": float, "t": float, "functional": str, "mean": float,
+    "stderr": float, "z": float, "n_paths": int, "verdict": str,
+}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _report_rows(result: ScenarioResult) -> list:
-    rows = []
-    for e in result.report.entries + tuple(result.extra_entries):
-        rows.append(
-            {
-                "scenario": result.name,
-                "s": float(e.s),
-                "t": float(e.t),
-                "functional": e.functional,
-                "mean": float(e.mean),
-                "stderr": float(e.stderr),
-                "z": float(e.z),
-                "n_paths": int(e.n_paths),
-                "verdict": "pass" if e.passed else "fail",
-            }
-        )
-    return rows
-
-
 def emit_report(result: ScenarioResult, fmt: str, path: str) -> None:
-    """Write the per-entry report; numbers carry 9 significant digits."""
-    rows = _report_rows(result)
-    if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["scenario"],
-                        _fmt(r["s"]),
-                        _fmt(r["t"]),
-                        r["functional"],
-                        _fmt(r["mean"]),
-                        _fmt(r["stderr"]),
-                        _fmt(r["z"]),
-                        str(r["n_paths"]),
-                        r["verdict"],
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        clean = []
-        for r in rows:
-            r = dict(r)
-            for key in ("s", "t", "mean", "stderr", "z"):
-                r[key] = float(_fmt(r[key]))
-            clean.append(r)
-        text = json.dumps(
-            {
+    """Write the per-entry report; numbers carry 9 significant digits.
+
+    A CSV field holding a comma, a quote or a newline is quoted (RFC 4180).
+    """
+    rows = [
+        (result.name, _fmt(e.s), _fmt(e.t), e.functional, _fmt(e.mean), _fmt(e.stderr),
+         _fmt(e.z), str(int(e.n_paths)), "pass" if e.passed else "fail")
+        for e in result.report.entries + tuple(result.extra_entries)
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_COLUMNS)
+            writer.writerows(rows)
+        else:
+            entries = [
+                {k: parse(v) for (k, parse), v in zip(_COLUMNS.items(), row)} for row in rows
+            ]
+            report = {
                 "scenario": result.name,
                 "verdict": "pass" if result.passed else "fail",
                 "vacuous": result.report.vacuous,
-                "entries": clean,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+                "entries": entries,
+            }
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 _BOOL_WORDS = {

@@ -111,9 +111,8 @@ def future_inf_piece_system(
     outside the covered set (the continuum statement only determines the
     covered set up to this countable boundary).
     """
-    e = np.vectorize(scale.e, otypes=[float])
-    s = e(R)
-    s_check = e(I)
+    s = scale.e(R)
+    s_check = scale.e(I)
     times = grid.times()
     covered = R > I
     intervals = []

@@ -17,6 +17,7 @@ from filtralab.gluing import boundary_half_local_time, glue, reconstruction_resi
 from filtralab.paths import reciprocal_scale
 from filtralab.scenarios import ScenarioConfig, random_piece_system, run_scenario
 from filtralab.drifts import emery_after_rate
+from filtralab.scenarios import Leg, Scenario, _base_functionals, _bridge_block, _drive
 from filtralab.scenarios import _emery_block, _pitman_block, _tile_rows
 from oracles import emery_conditional_law_rows, future_inf_piece_system
 
@@ -385,25 +386,14 @@ def test_criterion_11_null_calibration():
     """Base-filtration Brownian martingale: at most 2 rejections in 100 seeds."""
     t0 = time.time()
     rejections = 0
+    # base-filtration null: test W itself with base functionals only
+    rec = Scenario(_bridge_block, (Leg(
+        "", lambda cfg, ctx: ctx.W, lambda s, t: _base_functionals(),
+        ((0.2, 0.4), (0.4, 0.6), (0.6, 0.8)),
+    ),))
     for seed in range(100):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=2000, seed=seed)
-        # base-filtration null: test W itself with base functionals only
-        from collections import defaultdict
-
-        from filtralab.scenarios import _base_functionals, _bridge_block
-        from filtralab.verify import MomentAccumulator, martingale_suite
-
-        grid = cfg.grid()
-        accs = defaultdict(MomentAccumulator)
-        cps = [(0.2, 0.4), (0.4, 0.6), (0.6, 0.8)]
-        ctx = _bridge_block(cfg, grid, 0, cfg.n_paths)
-        for s, t in cps:
-            si, ti = grid.index_of(s), grid.index_of(t)
-            inc = ctx.W[:, ti] - ctx.W[:, si]
-            for f in _base_functionals():
-                accs[(s, t, f.id)].add(inc * f.values(ctx, si))
-        report = martingale_suite(accs, threshold=3.0)
-        rejections += 0 if report.passed else 1
+        rejections += 0 if _drive(cfg, rec).passed else 1
     elapsed = time.time() - t0
     _verdict(
         11,

@@ -1,5 +1,6 @@
 """Config handling, report formats, exit codes, reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from filtralab.cli import build_config, emit_report, run
 from filtralab.errors import ConfigurationError
-from filtralab.scenarios import ScenarioConfig, ScenarioResult
+from filtralab.scenarios import SCENARIOS, ScenarioConfig, ScenarioResult, run_scenario
 from filtralab.verify import MartingaleTestReport, SuiteEntry
 
 
@@ -162,6 +163,33 @@ class TestEmitReport:
         row = loaded["entries"][0]
         for key, raw in (("mean", math.pi * 1e-3), ("stderr", math.e * 1e-4), ("z", -math.sqrt(2))):
             assert row[key] == float(format(raw, ".9g"))
+
+    @pytest.mark.parametrize("no_correction", [False, True])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_csv_report_parses(self, tmp_path, scenario, no_correction):
+        # pitman's functional min(I,2)/2 holds a comma, so it must be quoted
+        cfg = ScenarioConfig(
+            scenario=scenario, dt=0.01, n_paths=200, seed=1, no_correction=no_correction
+        )
+        result = run_scenario(cfg)
+        emit_report(result, "csv", str(tmp_path / "r.csv"))
+        emit_report(result, "json", str(tmp_path / "r.json"))
+        with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        header = ["scenario", "s", "t", "functional", "mean", "stderr", "z", "n_paths", "verdict"]
+        assert reader.fieldnames == header
+        entries = json.loads((tmp_path / "r.json").read_text())["entries"]
+        assert len(rows) == len(entries) > 0
+        for row, entry in zip(rows, entries):
+            assert list(row) == header and None not in row.values()
+            for key in header:
+                if key in ("s", "t", "mean", "stderr", "z"):
+                    assert float(row[key]) == entry[key]
+                elif key == "n_paths":
+                    assert int(row[key]) == entry[key]
+                else:
+                    assert row[key] == entry[key]
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = ScenarioConfig(scenario="elemint-check", seed=5)
