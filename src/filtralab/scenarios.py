@@ -121,7 +121,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"dt = {self.dt} does not divide horizon = {self.horizon}"
             )
-        if not self.dt <= self.delta < self.horizon:
+        if rec.reads_delta and not self.dt <= self.delta < self.horizon:
             raise ConfigurationError(
                 f"delta = {self.delta} must be >= dt = {self.dt} and < horizon = {self.horizon}"
             )
@@ -220,16 +220,19 @@ class Scenario(NamedTuple):
     """One statistical scenario: ``block(cfg, grid, lo, hi)`` builds the
     BlockContext of paths [lo, hi), and each leg is tested on it.
 
-    ``unit_horizon`` marks a scenario defined on [0, 1] only, and
-    ``window_end`` the time by which the last step of its correction window
-    ends (None: no window rule).  ``special`` marks a run whose kernels
-    evaluate ``scipy.special`` (the corrected last-passage runs whose rate
-    reads Z), which no other run imports.
+    ``unit_horizon`` marks a scenario defined on [0, 1] only,
+    ``reads_delta`` one whose windows or masks read ``delta`` (only these
+    check dt <= delta < horizon), and ``window_end`` the time by which the
+    last step of its correction window ends (None: no window rule).
+    ``special`` marks a run whose kernels evaluate ``scipy.special`` (the
+    corrected last-passage runs whose rate reads Z), which no other run
+    imports.
     """
 
     block: Callable
     legs: tuple
     unit_horizon: bool = False
+    reads_delta: bool = False
     window_end: float | None = None
     levels: Levels | None = None
     special: bool = False
@@ -847,15 +850,12 @@ def random_piece_system(
     n_steps: int = 200,
     dt: float = 0.01,
     n_pieces: int = 6,
-    jump_scale: float = 1.0,
-    conflicting: bool = False,
 ) -> PieceSystem:
     """Synthetic jumpy PieceSystem whose support assumption holds by build.
 
     The reference path is an arbitrary jump path started at 0; the target
     adds a disturbance supported on the covered grid points; piece drifts
-    restrict one common increment stream, or two clashing ones when
-    ``conflicting`` is set.
+    restrict one common increment stream.
     """
     grid = TimeGrid(0.0, dt, n_steps)
     times = grid.times()
@@ -868,22 +868,14 @@ def random_piece_system(
     for lo, hi in intervals:
         covered |= (times > lo) & (times <= hi)
 
-    s_check = cumulative(rng.normal(0.0, jump_scale, n_steps))
-    disturb = np.where(covered, rng.normal(0.0, jump_scale, n_steps + 1), 0.0)
+    s_check = cumulative(rng.normal(0.0, 1.0, n_steps))
+    disturb = np.where(covered, rng.normal(0.0, 1.0, n_steps + 1), 0.0)
     s = s_check + disturb
 
-    inc = rng.normal(0.0, jump_scale, n_steps)
-    system = PieceSystem.from_common_drift(
+    inc = rng.normal(0.0, 1.0, n_steps)
+    return PieceSystem.from_common_drift(
         GridPath(grid, s), GridPath(grid, s_check), intervals, inc
     )
-    if conflicting and len(system.pieces) >= 2:
-        p0 = system.pieces[0]
-        # overlap the first interval with itself but carry a different drift
-        clash = PieceSystem.from_common_drift(
-            GridPath(grid, s), GridPath(grid, s_check), [(p0.T, p0.U)], inc + 1.0
-        ).pieces[0]
-        system = PieceSystem(system.S, system.S_check, system.pieces + (clash,))
-    return system
 
 
 def _identity_result(
@@ -971,12 +963,14 @@ _RECORDS = {
         (Leg("", _bridge_candidate, lambda s, t: _bridge_functionals(),
              _pairs(0.2, 0.4, 0.6, 0.8)),),
         unit_horizon=True,
+        reads_delta=True,
         window_end=1.0,
     ),
     "supremum": lambda cfg: Scenario(
         _supremum_block,
         (Leg("", _supremum_candidate, lambda s, t: _supremum_functionals(cfg, t),
              _pairs(*(k * cfg.horizon for k in (0.2, 0.4, 0.6, 0.8)))),),
+        reads_delta=True,
     ),
     "emery-before": lambda cfg: Scenario(
         _emery_block,
@@ -990,6 +984,7 @@ _RECORDS = {
         (Leg("", _emery_after_candidate, lambda s, t: _after_functionals("xi", cfg, s),
              _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),)),),
         unit_horizon=True,
+        reads_delta=True,
         window_end=_AFTER_CAP,
     ),
     "honest": lambda cfg: Scenario(
@@ -999,6 +994,7 @@ _RECORDS = {
          Leg("post|", _honest_after_candidate, lambda s, t: _after_functionals("g", cfg, s),
              _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),))),
         unit_horizon=True,
+        reads_delta=True,
         window_end=_AFTER_CAP,
         special=not cfg.no_correction,
     ),

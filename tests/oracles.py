@@ -4,8 +4,10 @@ None of these runs in a scenario: ``last_level_crossing`` is the per-path
 reference for the block last-passage kernel, ``future_inf_piece_system``
 feeds one Bessel path with its future infimum to the gluing algorithm, and
 ``emery_conditional_law_rows`` bins the simulated last passage against its
-Azema supermartingale.  ``elem_integral_per_piece`` is the elementary
-integral summed piece by piece, f evaluated at both ends of every piece.
+Azema supermartingale, as the run path evaluates it
+(``scenarios._emery_Z_from_y``).  ``elem_integral_per_piece`` is the
+elementary integral summed piece by piece, f evaluated at both ends of
+every piece.
 ``draw_rows_per_path`` (a new generator per row) and
 ``exact_last_passage_full`` (a touch probability on every step) are the
 plain forms of ``paths.draw_rows`` and ``scenarios._exact_last_passage``;
@@ -18,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from filtralab import scenarios
-from filtralab.drifts import h_func
 from filtralab.gluing import PieceSystem, _mask_runs
 from filtralab.grids import GridPath, TimeGrid
 from filtralab.paths import ScaleFunction
@@ -126,7 +127,7 @@ def future_inf_piece_system(
 
 
 def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: int = 20):
-    """Binned empirical P[t < xi | y in bin] against 1 - h(y) at one time.
+    """Binned empirical P[t < xi | y in bin] against Z = 1 - h(y) at one time.
 
     Returns (mean absolute error, rows); the Azema supermartingale is the
     predicted conditional survival probability of the last-passage time.
@@ -154,7 +155,7 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
         if n == 0:
             continue
         emp = float(np.mean(a[sel]))
-        pred = float(np.mean(1.0 - h_func(y[sel])))
+        pred = float(np.mean(scenarios._emery_Z_from_y(y[sel])))
         errs.append(abs(emp - pred))
         rows.append({"bin": b, "n": n, "empirical": emp, "predicted": pred})
     return float(np.mean(errs)), rows

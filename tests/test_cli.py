@@ -243,6 +243,16 @@ class TestExitCodes:
         assert all(name in captured.err for name in names)
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["pitman", "emery-before"])
+    def test_delta_unchecked_where_unread(self, tmp_path, capsys, scenario):
+        # the default delta 0.05 is below dt 0.1, but neither scenario reads delta
+        from filtralab.cli import main
+
+        out = tmp_path / "r.csv"
+        code = main(["--scenario", scenario, "--n-paths", "200", "--dt", "0.1", "--out", str(out)])
+        assert code in (0, 1) and capsys.readouterr().err == ""
+        assert out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "1e3", "7 seven"])
     def test_bad_env_seed_one_line(self, tmp_path, capsys, monkeypatch, value):
         from filtralab.cli import main

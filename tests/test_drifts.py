@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from filtralab import drifts as D
 from filtralab import scenarios as sc
-from filtralab.errors import DomainError, SingularityError
+from filtralab.errors import SingularityError
 from filtralab.grids import TimeGrid
 from filtralab.paths import reciprocal_scale
 
@@ -46,37 +46,40 @@ def _stopped(tau, dndw, z):
     return lambda cfg, ctx: sc._stopped_candidate(cfg, ctx, np.array([tau]), 0.0, parts)
 
 
+def _h_quad(y):
+    """h(y) = sqrt(2/pi) * integral_0^y s^2 exp(-s^2/2) ds by quadrature."""
+    return quad(lambda s: math.sqrt(2 / math.pi) * s * s * math.exp(-s * s / 2), 0, y)[0]
+
+
 class TestHFunc:
+    """h through the run path's Emery Z = 1 - h(y), ``scenarios._emery_Z_from_y``."""
+
     def test_h_at_zero_and_infinity(self):
-        assert D.h_func(0.0) == 0.0
+        assert float(sc._emery_Z_from_y(0.0)) == 1.0
         # normalization: integral of s^2 e^{-s^2/2} over (0, inf) is sqrt(pi/2)
-        total, _ = quad(lambda s: math.sqrt(2 / math.pi) * s * s * math.exp(-s * s / 2), 0, 50)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert float(D.h_func(40.0)) == pytest.approx(1.0, abs=1e-12)
+        assert _h_quad(50) == pytest.approx(1.0, abs=1e-9)
+        assert float(sc._emery_Z_from_y(40.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_h_against_quadrature_oracle(self):
         for y in np.linspace(0.0, 6.0, 25):
-            want, _ = quad(
-                lambda s: math.sqrt(2 / math.pi) * s * s * math.exp(-s * s / 2), 0, y
-            )
-            assert abs(float(D.h_func(y)) - want) <= 1e-9
+            assert abs(1.0 - float(sc._emery_Z_from_y(y)) - _h_quad(y)) <= 1e-9
 
     def test_h_at_one_frozen_value(self):
-        assert float(D.h_func(1.0)) == pytest.approx(0.1987480430987991, abs=1e-12)
+        z = float(sc._emery_Z_from_y(1.0))
+        assert z == pytest.approx(1.0 - 0.1987480430987991, abs=1e-12)
 
     def test_emery_Z_shape(self):
-        # Z = 1 at w = 0, even in w, decreasing in |w|, within [0, 1]
+        # Z = 1 at w = 0, even in w, decreasing in |w|, within [0, 1]; one
+        # path per w, constant in time, on the left endpoints t = 0, ..., 0.99
         w = np.linspace(-4.0, 4.0, 101)
-        for t in np.linspace(0.0, 0.99, 100):
-            z = D.emery_Z(w, t)
+        grid = TimeGrid(0.0, 0.01, 100)
+        ctx = sc.BlockContext(grid, grid.times(), np.repeat(w[:, None], grid.n + 1, axis=1))
+        _, zs = sc._emery_rate_parts(ctx)
+        for z in zs.T:
             assert np.all((0.0 <= z) & (z <= 1.0 + 1e-15))
             assert z[50] == pytest.approx(1.0)
             assert np.allclose(z, z[::-1], atol=1e-14)
             assert np.all(np.diff(z[50:]) <= 1e-15)
-
-    def test_emery_Z_rejects_t_past_one(self):
-        with pytest.raises(DomainError):
-            D.emery_Z(0.3, 1.0)
 
 
 class TestBridgeDrift:
@@ -180,7 +183,9 @@ class TestHonestDrift:
         paths = x + np.cumsum(incs, axis=1)
         no_zero = np.all(paths > 0.0, axis=1)
         z_mc = 1.0 - np.mean(no_zero)
-        z_formula = float(D.honest_Z(x, t))
+        # z of the run path's rate parts, one path at W_t = x on the grid 0, t, 2t
+        _, z = sc._honest_rate_parts(_ctx(t, [0.0, x, 0.0]))
+        z_formula = float(z[0, 1])
         # discrete monitoring misses some zeros: allow the known O(sqrt(dt)) slack
         assert abs(z_mc - z_formula) <= 4.0 / math.sqrt(n) + 1.3 * math.sqrt(dt)
 

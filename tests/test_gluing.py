@@ -210,9 +210,14 @@ class TestAssembleChiUnion:
 
     def test_conflicting_overlap_raises(self):
         rng = np.random.default_rng(5)
-        sys_ = random_piece_system(rng, conflicting=True)
+        sys_ = random_piece_system(rng)
+        p0 = sys_.pieces[0]
+        # overlap the first interval with itself but carry a different drift
+        clash = PieceSystem.from_common_drift(
+            sys_.S, sys_.S_check, [(p0.T, p0.U)], np.diff(p0.chi.values) + 1.0
+        ).pieces[0]
         with pytest.raises(DataError):
-            assemble_chi_union(sys_)
+            assemble_chi_union(PieceSystem(sys_.S, sys_.S_check, sys_.pieces + (clash,)))
 
 
 class TestJumpCompensation:

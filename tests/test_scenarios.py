@@ -4,12 +4,13 @@ import importlib
 import math
 import os
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
-from filtralab.drifts import emery_Z, honest_Z
 from filtralab.errors import ConfigurationError
 from filtralab.grids import GridPath, TimeGrid
 from filtralab.cli import emit_report
@@ -28,6 +29,23 @@ from oracles import (
 def _dZ_dw(Z, w, t, eps=1e-6):
     """Central finite difference of an Azema supermartingale in w."""
     return (Z(w + eps, t) - Z(w - eps, t)) / (2.0 * eps)
+
+
+@np.vectorize
+def _emery_Z_quad(w, t):
+    """Emery's Z = 1 - h(|w|/sqrt(1-t)) by quadrature of h's defining
+    integrand over (y, inf), which stays positive where 1 - h rounds to 0."""
+    y = abs(w) / math.sqrt(1.0 - t)
+    z, _ = quad(lambda s: math.sqrt(2 / math.pi) * s * s * math.exp(-s * s / 2), y, math.inf,
+                epsabs=0.0, epsrel=1e-13)
+    return z
+
+
+@np.vectorize
+def _honest_Z_reflection(w, t):
+    """Honest Z = P[a zero in (t, 1] | W_t = w] = 2 P[N < -|w|/sqrt(1-t)],
+    by the reflection principle."""
+    return 2.0 * NormalDist().cdf(-abs(w) / math.sqrt(1.0 - t))
 
 
 def _walks(seed, n_paths, n_steps, scale=0.2):
@@ -140,6 +158,15 @@ class TestBlockKernels:
         assert np.any(want != no_touch)
         assert np.array_equal(sc._exact_last_passage(vals, levels, grid, seed=0, lo=0), want)
 
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_supremum_record_times_follow_each_left_endpoint(self, dt):
+        # tau = T - t_k > 0 on every step, so the supremum instance rate
+        # needs no guard: T is a step midpoint at or after k, or past the horizon
+        for seed in (1, 2, 3):
+            cfg = sc.ScenarioConfig(scenario="supremum", dt=dt, seed=seed)
+            ctx = sc._supremum_block(cfg, cfg.grid(), 0, 1000)
+            assert (ctx.Ttimes[:, :-1] > ctx.times[:-1]).all()
+
     def test_exact_last_passage_deterministic(self):
         grid = TimeGrid(0.0, 0.05, 20)
         rng = np.random.default_rng(5)
@@ -151,8 +178,10 @@ class TestBlockKernels:
 
 class TestCandidateConsistency:
     """Block candidates and rate parts against independent per-path oracles:
-    the closed-form Azema supermartingales, and finite differences in w for
-    the rates (dNdW = dZ/dw for both random times)."""
+    the Azema supermartingales from h's defining integral by quadrature
+    (Emery) and from the reflection principle through ``statistics``
+    (honest), and finite differences in w for the rates (dNdW = dZ/dw for
+    both random times)."""
 
     def test_bridge_candidate_vs_drift_series(self):
         # oracle rate: finite difference in w of the log-density of W1 given W_t
@@ -179,12 +208,12 @@ class TestCandidateConsistency:
         t = grid.times()
         w, t_left = ctx.W[:, :-1], t[None, :-1]
         dndw, z = sc._emery_rate_parts(ctx)
-        assert np.allclose(z, emery_Z(w, t_left), atol=1e-12)
-        assert np.allclose(dndw, _dZ_dw(emery_Z, w, t_left), atol=1e-6)
+        z_want, dndw_want = _emery_Z_quad(w, t_left), _dZ_dw(_emery_Z_quad, w, t_left)
+        assert np.allclose(z, z_want, atol=1e-12)
+        assert np.allclose(dndw, dndw_want, atol=1e-6)
         x = sc._emery_before_candidate(cfg, ctx)
         for i in range(8):
-            z_i = emery_Z(ctx.W[i, :-1], t[:-1])
-            rate = _dZ_dw(emery_Z, ctx.W[i, :-1], t[:-1]) / z_i
+            rate = dndw_want[i] / z_want[i]
             dt_eff = np.clip(ctx.xi[i] - t[:-1], 0.0, cfg.dt)
             stopped = np.where(t < ctx.xi[i], ctx.W[i], ctx.W1[i] / 2.0)
             want = stopped - np.concatenate([[0.0], np.cumsum(rate * dt_eff)])
@@ -199,8 +228,8 @@ class TestCandidateConsistency:
         w, t_left = ctx.W[:, :-1], grid.times()[None, :last]
         dndw, z = sc._honest_rate_parts(ctx)
         assert z.shape == dndw.shape == (6, last)
-        assert np.allclose(z, honest_Z(w, t_left), atol=1e-12)
-        assert np.allclose(dndw, _dZ_dw(honest_Z, w, t_left), atol=1e-6)
+        assert np.allclose(z, _honest_Z_reflection(w, t_left), atol=1e-12)
+        assert np.allclose(dndw, _dZ_dw(_honest_Z_reflection, w, t_left), atol=1e-6)
 
 
 class TestFutureInfPieceSystem:
@@ -409,8 +438,8 @@ class TestDrive:
 
 @pytest.mark.parametrize("name", list(sc._RECORDS))
 def test_record_rules_are_validated(capsys, name):
-    """The checkpoint, horizon and window rules each record states are
-    enforced at config time, for exactly the records that state them."""
+    """The checkpoint, horizon, delta and window rules each record states
+    are enforced at config time, for exactly the records that state them."""
     from filtralab.cli import main
 
     rec = sc._RECORDS[name](sc.ScenarioConfig(scenario=name))
@@ -426,7 +455,7 @@ def test_record_rules_are_validated(capsys, name):
 
     def refusal(**kw):
         try:
-            sc.ScenarioConfig(scenario=name, dt=0.01, n_paths=100, **kw).validated()
+            sc.ScenarioConfig(scenario=name, **{"dt": 0.01, "n_paths": 100, **kw}).validated()
         except ConfigurationError as exc:
             return str(exc)
         return None
@@ -434,6 +463,12 @@ def test_record_rules_are_validated(capsys, name):
     assert refusal() is None
     unit = f"the {name} scenario is defined on horizon 1"
     assert refusal(horizon=2.0) == (unit if rec.unit_horizon else None)
+    # delta < dt is refused only where a window or mask reads delta
+    small = refusal(dt=0.1, delta=0.05)
+    if name in ("bridge", "supremum", "emery-after", "honest"):
+        assert small == "delta = 0.05 must be >= dt = 0.1 and < horizon = 1.0"
+    else:
+        assert small is None
     empty = refusal(delta=0.995)
     if rec.window_end is None:
         assert empty is None
