@@ -138,7 +138,7 @@ def build_config(argv) -> ScenarioConfig:
     parser.add_argument("--config", dest="config_file")
     ns = parser.parse_args(argv)
     settings: dict = {}
-    if ns.config_file:
+    if ns.config_file is not None:
         for k, v in _load_config_file(ns.config_file).items():
             settings[k] = _coerce(k, v)
     for key, val in vars(ns).items():

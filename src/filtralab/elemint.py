@@ -19,10 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import CoverageError, DataError, DomainError
-from .grids import GridPath
 
 __all__ = [
     "LeftStepFunction",
@@ -122,24 +119,6 @@ class CadlagFunction:
             if loc == t:
                 return size
         return 0.0
-
-    @classmethod
-    def from_grid_path(cls, path: GridPath) -> "CadlagFunction":
-        """Step-function view of a grid path, jumping at every grid point."""
-        grid = path.grid
-        vals = path.values
-
-        def fn(t: float) -> float:
-            return float(vals[grid.floor_index(t)])
-
-        times = grid.times()
-        deltas = np.diff(vals)
-        jumps = tuple(
-            (float(times[k + 1]), float(deltas[k]))
-            for k in range(grid.n)
-            if deltas[k] != 0.0
-        )
-        return cls(fn, float(times[0]), float(times[-1]), jumps)
 
 
 def stop(f: CadlagFunction, c: float) -> CadlagFunction:

@@ -47,11 +47,6 @@ class TimeGrid:
             raise ConfigurationError(f"{t} is not a grid time of {self}")
         return int(k)
 
-    def floor_index(self, t: float) -> int:
-        """Largest k with t0 + k*dt <= t, clipped to [0, n]."""
-        k = int(np.floor((t - self.t0) / self.dt + 1e-12))
-        return min(max(k, 0), self.n)
-
 
 @dataclass(frozen=True)
 class GridPath:
@@ -73,9 +68,6 @@ class GridPath:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def times(self) -> np.ndarray:
-        return self.grid.times()
 
 
 def cumulative(increments: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .verify import (
     MomentAccumulator,
     SuiteEntry,
     TestFunctional,
+    bonferroni_threshold,
     martingale_suite,
 )
 
@@ -99,10 +100,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"unknown format {self.format!r}")
-        if not 0.0 < self.threshold < math.inf:
+        if not (0.0 < self.threshold and bonferroni_threshold(self.threshold, 2) < math.inf):
             raise ConfigurationError(
-                f"threshold must be finite and > 0, got {self.threshold}"
+                "threshold must be > 0 and below about 37.677, where the per-entry "
+                f"threshold turns inf; got {self.threshold}"
             )
+        if self.out_path == "":
+            raise ConfigurationError("the report path must not be empty")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.scenario not in _RECORDS:
@@ -165,13 +169,12 @@ class ScenarioResult:
 
 @dataclass
 class BlockContext:
-    """Per-block arrays the functionals and candidates read.
+    """Per-block arrays the functionals and candidates read, and nothing else.
 
     ``rate_parts`` holds drift-rate ingredients that more than one leg of a
     block reads, once the first leg has evaluated them.
     """
 
-    grid: TimeGrid
     times: np.ndarray
     W: np.ndarray
     W1: np.ndarray | None = None
@@ -180,13 +183,12 @@ class BlockContext:
     Ttimes: np.ndarray | None = None
     xi: np.ndarray | None = None
     g: np.ndarray | None = None
-    transform: np.ndarray | None = None
     rate_parts: tuple | None = None
 
     def head(self, last: int) -> "BlockContext":
         """The block on grid columns [0, last]: per-time arrays are cut (as
         views), per-path ones (W1, xi, g) stay whole."""
-        cols = ("times", "W", "U", "I", "Ttimes", "transform")
+        cols = ("times", "W", "U", "I", "Ttimes")
         return replace(self, **{
             k: getattr(self, k)[..., :last + 1] for k in cols if getattr(self, k) is not None
         })
@@ -457,7 +459,7 @@ def _pairs(*pts) -> tuple:
 
 def _bridge_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
     w = _brownian_block(grid, cfg.seed, lo, hi)
-    return BlockContext(grid, grid.times(), w, W1=w[:, -1])
+    return BlockContext(grid.times(), w, W1=w[:, -1])
 
 
 def _bridge_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -516,7 +518,7 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
                   lambda gen, row: gen.standard_normal(out=row))
     t_star = grid.horizon + (u[:, -1] - w[:, -1]) ** 2 / (z * z)
     ttimes = np.where(np.isfinite(ttimes), ttimes, t_star[:, None])
-    return BlockContext(grid, grid.times(), w, U=u, Ttimes=ttimes)
+    return BlockContext(grid.times(), w, U=u, Ttimes=ttimes)
 
 
 def _supremum_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -675,7 +677,7 @@ def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Block
     w = _brownian_block(grid, cfg.seed, lo, hi)
     w1 = w[:, -1]
     xi = _exact_last_passage(w, w1 / 2.0, grid, cfg.seed, lo)
-    return BlockContext(grid, grid.times(), w, W1=w1, xi=xi)
+    return BlockContext(grid.times(), w, W1=w1, xi=xi)
 
 
 def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
@@ -721,7 +723,7 @@ def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray
 def _honest_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
     w = _brownian_block(grid, cfg.seed, lo, hi)
     g = _exact_last_passage(w, np.zeros(hi - lo), grid, cfg.seed, lo)
-    return BlockContext(grid, grid.times(), w, W1=w[:, -1], g=g)
+    return BlockContext(grid.times(), w, g=g)
 
 
 def _honest_rate_parts(ctx: BlockContext):
@@ -783,7 +785,8 @@ def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarra
 
 
 def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
-    """Bessel(3) paths from 1 with their future infimum I and the transform 2I - R.
+    """Bessel(3) paths R from 1 (in ``W``) with their future infimum I; the
+    transform 2I - R is left to the candidate, so a control never builds it.
 
     The paths come from the Pitman construction (exact in law) or the
     reflecting Euler kernel.  I is the backward minimum of every step's
@@ -817,15 +820,17 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
                 out=inf_path[:, :-1])
     np.minimum(r[:, -1], tails, out=inf_path[:, -1])
     np.minimum.accumulate(inf_path[:, ::-1], axis=1, out=inf_path[:, ::-1])
-    transform = np.multiply(2.0, inf_path)
-    transform -= r
-    return BlockContext(grid, grid.times(), r, I=inf_path, transform=transform)
+    return BlockContext(grid.times(), r, I=inf_path)
 
 
 def _pitman_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Twice the future infimum minus the Bessel path; the negative control
-    drops the infimum information entirely."""
-    return ctx.W if cfg.no_correction else ctx.transform
+    """Pitman's 2I - R, twice the future infimum minus the Bessel path; the
+    negative control drops the infimum information entirely and is R."""
+    if cfg.no_correction:
+        return ctx.W
+    x = np.multiply(2.0, ctx.I)
+    x -= ctx.W
+    return x
 
 
 def _pitman_functionals() -> list:
@@ -1003,7 +1008,7 @@ _RECORDS = {
         (Leg("", _pitman_candidate, lambda s, t: _pitman_functionals(),
              _chain(*_tenths(cfg.horizon))),),
         levels=Levels("level:2I-R", (0.0,) + _tenths(cfg.horizon),
-                      lambda ctx, ti: ctx.transform[:, ti]),
+                      lambda ctx, ti: 2.0 * ctx.I[:, ti] - ctx.W[:, ti]),
     ),
 }
 

@@ -1,7 +1,9 @@
 """Per-path reference oracles that the tests compare the package against.
 
-None of these runs in a scenario: ``last_level_crossing`` is the per-path
-reference for the block last-passage kernel, ``future_inf_piece_system``
+None of these runs in a scenario, and the package keeps no helper that
+only they would call: ``last_level_crossing`` is the per-path reference for
+the block last-passage kernel, reading its grid times through
+``TimeGrid.times`` and ``TimeGrid.index_of``; ``future_inf_piece_system``
 feeds one Bessel path with its future infimum to the gluing algorithm, and
 ``emery_conditional_law_rows`` bins the simulated last passage against its
 Azema supermartingale, as the run path evaluates it
@@ -78,13 +80,14 @@ def exact_last_passage_full(values, levels, grid, seed, lo):
 
 
 def last_level_crossing(path: GridPath, level: float, horizon: float) -> float:
-    """Linearly interpolated time of the last sign change of (path - level).
+    """Linearly interpolated time of the last sign change of (path - level)
+    up to ``horizon``, which must be a grid time of the path.
 
     Returns 0 when no crossing exists on the grid; callers that need a
     crossing almost surely must check their own nondegeneracy condition.
     """
-    times = path.times()
-    stop_idx = path.grid.floor_index(horizon)
+    times = path.grid.times()
+    stop_idx = path.grid.index_of(horizon)
     f = path.values[: stop_idx + 1] - level
     for k in range(stop_idx, 0, -1):
         a, b = f[k - 1], f[k]

@@ -51,7 +51,7 @@ _INVALID = {
         _NOT_NUMBER, st.floats(max_value=0.0099), st.floats(min_value=0.995), st.just(math.nan)
     ),
     "threshold": st.one_of(
-        _NOT_NUMBER, st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan)
+        _NOT_NUMBER, st.floats(max_value=0.0), st.floats(min_value=37.68), st.just(math.nan)
     ),
     "format": st.one_of(_NON_SCALAR, _WORDS),
     "no_correction": st.one_of(
@@ -265,6 +265,42 @@ class TestExitCodes:
         assert captured.err.startswith("filtralab: FILTRALAB_SEED ")
         assert repr(value) in captured.err
         assert not out.exists()
+
+    def test_threshold_with_infinite_per_entry_threshold_exit_two(self, tmp_path, capsys):
+        # past 37.6771 the per-entry Bonferroni threshold is inf: this control
+        # run (max |z| 57.4) used to print PASS and exit 0
+        from filtralab.cli import main
+
+        out = tmp_path / "r.csv"
+        argv = ["--scenario", "pitman", "--n-paths", "20000", "--seed", "1", "--no-correction",
+                "--out", str(out)]
+        assert main(argv + ["--threshold", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("filtralab: threshold must be > 0 and below about 37.677")
+        assert captured.err.endswith("got 40.0\n")
+        assert not out.exists()
+        # just below the edge the per-entry threshold is finite, and the run goes on
+        ScenarioConfig(scenario="pitman", threshold=37.6).validated()
+
+    @pytest.mark.parametrize("form", ["--out ''", "out-path =", "--config ''"])
+    def test_empty_path_exit_two(self, tmp_path, capsys, monkeypatch, form):
+        # an empty report path used to write no report, and an empty config
+        # path to read no file; either run went on and exited 0
+        from filtralab.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out-path =\n")
+        argv = {
+            "--out ''": ["--out", ""],
+            "out-path =": ["--config", "run.cfg"],
+            "--config ''": ["--config", "", "--out", "r.csv"],
+        }[form]
+        assert main(["--scenario", "bridge", "--n-paths", "200", "--dt", "0.01"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("filtralab: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
         "line",

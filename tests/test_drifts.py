@@ -22,7 +22,7 @@ def _ctx(dt, w, **fields):
     """One-path BlockContext on the grid 0, dt, ..., (len(w) - 1) dt."""
     grid = TimeGrid(0.0, dt, len(w) - 1)
     fields = {k: np.array([v], dtype=float) for k, v in fields.items()}
-    return sc.BlockContext(grid, grid.times(), np.array([w], dtype=float), **fields)
+    return sc.BlockContext(grid.times(), np.array([w], dtype=float), **fields)
 
 
 def _cfg(dt, **kw):
@@ -73,7 +73,7 @@ class TestHFunc:
         # path per w, constant in time, on the left endpoints t = 0, ..., 0.99
         w = np.linspace(-4.0, 4.0, 101)
         grid = TimeGrid(0.0, 0.01, 100)
-        ctx = sc.BlockContext(grid, grid.times(), np.repeat(w[:, None], grid.n + 1, axis=1))
+        ctx = sc.BlockContext(grid.times(), np.repeat(w[:, None], grid.n + 1, axis=1))
         _, zs = sc._emery_rate_parts(ctx)
         for z in zs.T:
             assert np.all((0.0 <= z) & (z <= 1.0 + 1e-15))
@@ -255,12 +255,12 @@ class TestEmeryAfterDrift:
 
 class TestFutureInfDecomposition:
     def test_transform_is_2I_minus_Z(self):
-        # the candidate 1/e(Z) - 2/e(I) is 2I - Z for e(z) = -1/z
+        # the corrected candidate 1/e(Z) - 2/e(I) is 2I - Z for e(z) = -1/z
         cfg = sc.ScenarioConfig(scenario="pitman", dt=0.01, seed=9)
         ctx = sc._pitman_block(cfg, cfg.grid(), 0, 20)
         e = reciprocal_scale().e
         assert np.all((ctx.I > 0.0) & (ctx.I <= ctx.W))
-        assert np.allclose(ctx.transform, 1.0 / e(ctx.W) - 2.0 / e(ctx.I))
+        assert np.allclose(sc._pitman_candidate(cfg, ctx), 1.0 / e(ctx.W) - 2.0 / e(ctx.I))
 
     def test_initial_pitman_mean_zero(self):
         # E[2 I_0 - Z_0] = 2 (r0/2) - r0 = 0 under the uniform initial-infimum law

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from filtralab import elemint as ei
 from filtralab.errors import CoverageError, DataError, DomainError
-from filtralab.grids import GridPath, TimeGrid
 from oracles import elem_integral_per_piece
 
 
@@ -205,18 +204,6 @@ class TestUnionIntegral:
             with pytest.raises(DomainError):
                 ei.union_integral(s, f, window)
         assert ei.union_integral(s, f, (0.5, 1.5))(1.0) == f(1.0) - f(0.5)
-
-
-class TestGridPathView:
-    def test_from_grid_path_steps_and_jumps(self):
-        grid = TimeGrid(0.0, 0.5, 4)
-        p = GridPath(grid, np.array([0.0, 1.0, 1.0, -1.0, 2.0]))
-        f = ei.CadlagFunction.from_grid_path(p)
-        assert f(0.6) == 1.0  # step convention
-        assert f(1.0) == 1.0
-        assert f.jump_at(0.5) == 1.0
-        assert f.jump_at(1.0) == 0.0
-        assert f.jump_at(1.5) == -2.0
 
 
 # -- randomized property checks ---------------------------------------------

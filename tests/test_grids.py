@@ -20,12 +20,6 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             g.index_of(0.30002)
 
-    def test_floor_index_clips(self):
-        g = TimeGrid(0.0, 0.5, 2)
-        assert g.floor_index(-1.0) == 0
-        assert g.floor_index(0.6) == 1
-        assert g.floor_index(5.0) == 2
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, 0.0, 5)

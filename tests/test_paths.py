@@ -206,18 +206,21 @@ class TestSimulateBes3:
         assert reflected > 0
 
 
-def _supremum_ctx(n_paths=5, seed=19, dt=1e-2):
-    cfg = sc.ScenarioConfig(scenario="supremum", dt=dt, seed=seed)
-    return sc._supremum_block(cfg, cfg.grid(), 0, n_paths)
+_SUP_CFG = sc.ScenarioConfig(scenario="supremum", dt=1e-2, seed=19)
 
 
-def _step_maxima(ctx, seed):
+def _supremum_ctx():
+    return sc._supremum_block(_SUP_CFG, _SUP_CFG.grid(), 0, 5)
+
+
+def _step_maxima(ctx):
     """Per-step bridge maxima drawn from the paths' own bridge_min streams."""
-    n = ctx.grid.n
+    grid = _SUP_CFG.grid()
     u = np.array(
-        [1.0 - substream(seed, "bridge_min", i).uniform(size=n) for i in range(len(ctx.W))]
+        [1.0 - substream(_SUP_CFG.seed, "bridge_min", i).uniform(size=grid.n)
+         for i in range(len(ctx.W))]
     )
-    return P._bridge_max(ctx.W[:, :-1], ctx.W[:, 1:], ctx.grid.dt, u)
+    return P._bridge_max(ctx.W[:, :-1], ctx.W[:, 1:], grid.dt, u)
 
 
 class TestRunningSupremum:
@@ -225,9 +228,9 @@ class TestRunningSupremum:
 
     def test_direct_definition(self):
         ctx = _supremum_ctx()
-        step_max = _step_maxima(ctx, 19)
+        step_max = _step_maxima(ctx)
         for i in range(len(ctx.W)):
-            for k in range(ctx.grid.n + 1):
+            for k in range(_SUP_CFG.grid().n + 1):
                 want = max([ctx.W[i, 0]] + list(step_max[i, :k]))
                 assert ctx.U[i, k] == want
 
@@ -239,8 +242,9 @@ class TestRunningSupremum:
 
 
 def _pitman_ctx(n_paths, seed, dt, horizon=1.0):
+    """The Pitman block of paths [0, n_paths) and its grid."""
     cfg = sc.ScenarioConfig(scenario="pitman", horizon=horizon, dt=dt, seed=seed)
-    return sc._pitman_block(cfg, cfg.grid(), 0, n_paths)
+    return sc._pitman_block(cfg, cfg.grid(), 0, n_paths), cfg.grid()
 
 
 def _plain_future_inf(ctx):
@@ -292,9 +296,9 @@ class TestFutureInfimum:
         assert stat < 1.63 / math.sqrt(100_000)
 
     def test_invariants_against_plain_minimum(self):
-        ctx = _pitman_ctx(20, seed=4, dt=1e-2, horizon=2.0)
+        ctx, grid = _pitman_ctx(20, seed=4, dt=1e-2, horizon=2.0)
         scale = P.reciprocal_scale()
-        n, dt = ctx.grid.n, ctx.grid.dt
+        n, dt = grid.n, grid.dt
         plain = _plain_future_inf(ctx)
         for i in range(20):
             r = ctx.W[i]
@@ -320,7 +324,7 @@ class TestFutureInfimum:
                 P.reciprocal_scale().tail_sample(z, 0.5)
 
     def test_bridge_min_refinement_below_plain(self):
-        ctx = _pitman_ctx(10, seed=8, dt=1e-2)
+        ctx, _ = _pitman_ctx(10, seed=8, dt=1e-2)
         plain = _plain_future_inf(ctx)
         assert np.all(ctx.I <= plain + 1e-15)
         assert np.all(np.diff(ctx.I, axis=1) >= 0.0)
@@ -370,10 +374,11 @@ class TestNextSupIncrease:
 
     def test_first_later_record(self):
         ctx = _supremum_ctx()
-        rises = _step_maxima(ctx, 19) > ctx.U[:, :-1]
-        mid = ctx.times[:-1] + 0.5 * ctx.grid.dt
+        grid = _SUP_CFG.grid()
+        rises = _step_maxima(ctx) > ctx.U[:, :-1]
+        mid = ctx.times[:-1] + 0.5 * grid.dt
         for i in range(len(ctx.W)):
-            for k in range(ctx.grid.n):
+            for k in range(grid.n):
                 later = np.nonzero(rises[i, k:])[0]
                 if len(later):
                     assert ctx.Ttimes[i, k] == mid[k + later[0]]
