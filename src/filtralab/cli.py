@@ -1,9 +1,9 @@
 """Scenario runner and report emitter.
 
-Exit codes: 0 pass, 1 statistical fail, 2 usage or configuration error,
-3 numerical degeneracy.  Configuration comes from flags, an optional config
-file (key=value lines or JSON; flags override), and the FILTRALAB_SEED
-environment variable as a seed fallback.
+Exit codes: 0 pass, 1 statistical fail, 2 usage or configuration error.
+Configuration comes from flags, an optional config file (key=value lines or
+JSON; flags override), and the FILTRALAB_SEED environment variable as a seed
+fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 import typing
 
-from .errors import ConfigurationError, FiltralabError, NumericalDegeneracyError
+from .errors import ConfigurationError, FiltralabError
 from .scenarios import SCENARIOS, ScenarioConfig, ScenarioResult, run_scenario
 
 __all__ = ["main", "run", "emit_report", "build_config"]
@@ -162,9 +162,6 @@ def run(config: ScenarioConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    except NumericalDegeneracyError as exc:
-        print(f"filtralab: numerical degeneracy: {exc}", file=sys.stderr)
-        return 3
     except FiltralabError as exc:
         print(f"filtralab: config error: {exc}", file=sys.stderr)
         return 2

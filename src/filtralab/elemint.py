@@ -35,6 +35,8 @@ __all__ = [
     "probe_points",
 ]
 
+_COMPOSITION_REL_TOL = 1e-12  # of check_composition's pointwise comparison
+
 
 @dataclass(frozen=True)
 class LeftStepFunction:
@@ -188,7 +190,6 @@ def check_composition(
     g: LeftStepFunction,
     h: LeftStepFunction,
     f: CadlagFunction,
-    rel_tol: float = 1e-12,
 ) -> bool:
     """True iff g.(h.f) == (g*h).f pointwise on the equality oracle grid."""
     lhs = elem_integral(g, elem_integral(h, f))
@@ -197,7 +198,7 @@ def check_composition(
         if not (f.a < t <= f.b):
             continue
         u, v = lhs(t), rhs(t)
-        if abs(u - v) > rel_tol * max(1.0, abs(u), abs(v)):
+        if abs(u - v) > _COMPOSITION_REL_TOL * max(1.0, abs(u), abs(v)):
             return False
     return True
 

@@ -1,7 +1,6 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: ConfigurationError -> 2,
-NumericalDegeneracyError -> 3, statistical failure -> 1.
+Exit-code mapping used by the CLI: any FiltralabError -> 2, statistical failure -> 1.
 """
 
 
@@ -31,10 +30,6 @@ class CoverageError(FiltralabError, ValueError):
 
 class SingularityError(FiltralabError, ArithmeticError):
     """A drift denominator vanished inside its declared window."""
-
-
-class NumericalDegeneracyError(FiltralabError, ArithmeticError):
-    """A simulated path left its admissible region (flagged, not clamped)."""
 
 
 class InsufficientSampleError(FiltralabError, ValueError):

@@ -41,6 +41,8 @@ __all__ = [
     "reconstruction_residual",
 ]
 
+_CHI_UNION_TOL = 1e-12  # relative; overlapping pieces agree on each drift step within it
+
 
 @dataclass(frozen=True)
 class Piece:
@@ -234,13 +236,13 @@ def build_sets(system: PieceSystem, eps_list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def assemble_chi_union(system: PieceSystem, tol: float = 1e-12) -> GridPath:
+def assemble_chi_union(system: PieceSystem) -> GridPath:
     """Merge the per-piece drifts into the union drift.
 
     On every grid step the covering pieces must agree on the drift
-    increment to within ``tol``; the merged increment is their common value
-    and 0 off the union.  The cumulative sum is the distribution function
-    whose existence is the gluing condition.
+    increment to within ``_CHI_UNION_TOL``; the merged increment is their
+    common value and 0 off the union.  The cumulative sum is the
+    distribution function whose existence is the gluing condition.
     """
     grid = system.grid
     times_r = grid.times()[1:]
@@ -251,7 +253,7 @@ def assemble_chi_union(system: PieceSystem, tol: float = 1e-12) -> GridPath:
         mask = (times_r > p.T) & (times_r <= p.U)
         clash = have & mask
         if np.any(clash):
-            bad = np.abs(merged[clash] - inc[clash]) > tol * np.maximum(
+            bad = np.abs(merged[clash] - inc[clash]) > _CHI_UNION_TOL * np.maximum(
                 1.0, np.maximum(np.abs(merged[clash]), np.abs(inc[clash]))
             )
             if np.any(bad):

@@ -17,6 +17,8 @@ from .errors import ConfigurationError, DataError
 
 __all__ = ["TimeGrid", "GridPath", "cumulative"]
 
+_GRID_TIME_TOL = 1e-9  # a time within this many dt of a grid point is that point
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -39,11 +41,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n + 1)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to t (within tol * dt)."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point equal to t (within _GRID_TIME_TOL * dt)."""
         x = (t - self.t0) / self.dt
         k = round(x) if math.isfinite(x) else -1  # an overflowed t is refused below
-        if k < 0 or k > self.n or abs(self.t0 + k * self.dt - t) > tol * self.dt:
+        if k < 0 or k > self.n or abs(self.t0 + k * self.dt - t) > _GRID_TIME_TOL * self.dt:
             raise ConfigurationError(f"{t} is not a grid time of {self}")
         return int(k)
 

@@ -34,13 +34,7 @@ from .drifts import (
 from .errors import ConfigurationError
 from .grids import GridPath, TimeGrid, cumulative
 from .gluing import PieceSystem, glue, reconstruction_residual
-from .paths import (
-    _bridge_min,
-    draw_rows,
-    euler_bes3_block,
-    pitman_from_draws,
-    reciprocal_scale,
-)
+from .paths import _bridge_min, draw_rows, pitman_from_draws, reciprocal_scale
 from .rng import substream  # noqa: F401  (the benchmark's trace table looks it up here)
 from .verify import (
     MartingaleTestReport,
@@ -93,7 +87,6 @@ class ScenarioConfig:
     out_path: str | None = None
     format: str = "csv"
     no_correction: bool = False
-    bes_method: str = "pitman-construction"
 
     def validated(self) -> "ScenarioConfig":
         if self.scenario not in SCENARIOS:
@@ -139,8 +132,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"statistical scenarios need n_paths >= 100, got {self.n_paths}"
             )
-        if self.bes_method not in ("pitman-construction", "euler-sde"):
-            raise ConfigurationError(f"unknown bes_method {self.bes_method!r}")
         grid = self.grid()
         for t in rec.times():
             try:
@@ -788,28 +779,24 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
     """Bessel(3) paths R from 1 (in ``W``) with their future infimum I; the
     transform 2I - R is left to the candidate, so a control never builds it.
 
-    The paths come from the Pitman construction (exact in law) or the
-    reflecting Euler kernel.  I is the backward minimum of every step's
-    exact bridge minimum, completed past the horizon by one exact draw of
-    the eventual infimum given the terminal value.
+    The paths come from the Pitman construction, exact in law at the grid
+    times.  I is the backward minimum of every step's exact Bessel(3)-bridge
+    minimum, completed past the horizon by one exact draw of the eventual
+    infimum given the terminal value, so I > 0 on every path.
     """
     nb, n = hi - lo, grid.n
-    if cfg.bes_method == "pitman-construction":
-        # one row of the bes3 stream: j0 uniform, n normals, n bridge uniforms
-        def draw(gen, row):
-            gen.random(out=row[:1])
-            gen.standard_normal(out=row[1:n + 1])
-            gen.random(out=row[n + 1:])
+    # one row of the bes3 stream: j0 uniform, n normals, n bridge uniforms
+    def draw(gen, row):
+        gen.random(out=row[:1])
+        gen.standard_normal(out=row[1:n + 1])
+        gen.random(out=row[n + 1:])
 
-        d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, draw)
-        # 1 - U for the j0 uniform and the bridge uniforms
-        np.subtract(1.0, d[:, :1], out=d[:, :1])
-        np.subtract(1.0, d[:, n + 1:], out=d[:, n + 1:])
-        r = pitman_from_draws(1.0, d[:, 0], d[:, 1:n + 1], d[:, n + 1:], grid.dt)
-        del d  # the draws go before the future infimum's temporaries: same peak RSS
-    else:
-        r = euler_bes3_block(grid, cfg.seed, lo, hi)
-
+    d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, draw)
+    # 1 - U for the j0 uniform and the bridge uniforms
+    np.subtract(1.0, d[:, :1], out=d[:, :1])
+    np.subtract(1.0, d[:, n + 1:], out=d[:, n + 1:])
+    r = pitman_from_draws(1.0, d[:, 0], d[:, 1:n + 1], d[:, n + 1:], grid.dt)
+    del d  # the draws go before the future infimum's temporaries: same peak RSS
     u_tail = draw_rows(np.empty(nb), cfg.seed, "inf_tail", lo,
                        lambda gen, row: gen.random(out=row))
     np.subtract(1.0, u_tail, out=u_tail)

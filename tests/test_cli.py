@@ -28,7 +28,7 @@ def _result(entries=(), extra=(), vacuous=False, verdict="pass"):
 
 
 # Per config key, values that validation must refuse.  Letters from "abcxyz"
-# spell no scenario, format, method, boolean word or float literal.
+# spell no scenario, format, boolean word or float literal.
 _WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=8)
 _NON_SCALAR = st.one_of(
     st.none(), st.lists(st.integers(), max_size=2), st.dictionaries(_WORDS, st.integers(), max_size=1)
@@ -57,7 +57,6 @@ _INVALID = {
     "no_correction": st.one_of(
         _NON_SCALAR, st.integers().filter(lambda v: v not in (0, 1)), st.floats(), _WORDS
     ),
-    "bes_method": st.one_of(_NON_SCALAR, _WORDS),
     "out_path": st.one_of(_NON_SCALAR, st.booleans(), st.integers()),
     "colour": st.integers(),  # no such key
 }
@@ -119,12 +118,6 @@ class TestBuildConfig:
     def test_statistical_scenarios_need_paths(self):
         with pytest.raises(ConfigurationError):
             build_config(["--scenario", "bridge", "--n-paths", "50"])
-
-    def test_bes_method_config_only(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("scenario=pitman\nbes-method=euler-sde\nn-paths=200\n")
-        cfg = build_config(["--config", str(p)])
-        assert cfg.bes_method == "euler-sde"
 
     @pytest.mark.parametrize(
         "raw, want",
@@ -308,6 +301,7 @@ class TestExitCodes:
             "block-size = -5",
             "block-size = 0",
             "block-size = 8192",
+            "bes-method = euler-sde",
             "threshold = nan",
             "threshold = -1",
             "threshold = inf",
@@ -339,8 +333,9 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("filtralab: ") and captured.err.count("\n") == 1
-        if line.startswith("block-size"):  # a retired key, refused whatever its value
-            assert "unknown config key 'block_size'" in captured.err
+        key = line.split(" = ")[0].replace("-", "_")
+        if key in ("block_size", "bes_method"):  # retired keys, refused whatever their value
+            assert captured.err == f"filtralab: unknown config key {key!r}\n"
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
@@ -400,20 +395,14 @@ class TestExitCodes:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize(
-        "scenario, dt, time, extra",
-        [
-            ("bridge", "0.25", "0.2", ""),
-            ("supremum", "0.125", "0.2", ""),
-            ("pitman", "0.25", "0.1", "bes-method = euler-sde\n"),
-        ],
-        ids=["bridge", "supremum", "pitman-euler-sde"],
+        "scenario, dt, time",
+        [("bridge", "0.25", "0.2"), ("supremum", "0.125", "0.2"), ("pitman", "0.25", "0.1")],
+        ids=["bridge", "supremum", "pitman"],
     )
-    def test_off_grid_checkpoint_names_the_rule(self, tmp_path, capsys, scenario, dt, time, extra):
+    def test_off_grid_checkpoint_names_the_rule(self, tmp_path, capsys, scenario, dt, time):
         from filtralab.cli import main
 
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(extra)
-        argv = ["--config", str(cfg), "--scenario", scenario, "--dt", dt, "--delta", dt,
+        argv = ["--scenario", scenario, "--dt", dt, "--delta", dt,
                 "--n-paths", "200", "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -422,29 +411,6 @@ class TestExitCodes:
         assert f"dt = {dt}" in captured.err
         assert "TimeGrid(" not in captured.err
         assert not (tmp_path / "r.csv").exists()
-
-    def test_degeneracy_exit_three(self, capsys, monkeypatch):
-        # path 0's first euler-sde step 1 + 0.25/1 + 0.5 * (-2.5) lands exactly
-        # on 0, and reflection cannot lift it
-        from filtralab import paths
-
-        real = paths.draw_rows
-
-        def draw_rows(out, seed, purpose, lo, draw):
-            real(out, seed, purpose, lo, draw)
-            if purpose == "bes3" and lo == 0:
-                out[0, 0] = -2.5  # path 0's first normal
-            return out
-
-        monkeypatch.setattr(paths, "draw_rows", draw_rows)
-        # horizon 2.5 keeps pitman's level times h*k/10 on the grid
-        cfg = ScenarioConfig(
-            scenario="pitman", horizon=2.5, dt=0.25, n_paths=100, seed=3, delta=0.25,
-            bes_method="euler-sde",
-        )
-        assert run(cfg) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("filtralab: numerical degeneracy: ") and err.count("\n") == 1
 
     def test_grid_too_large_for_memory_exit_two(self, tmp_path, capsys, monkeypatch):
         # a block builder stands in for a path row too long to allocate
@@ -462,16 +428,6 @@ class TestExitCodes:
         assert captured.err.startswith("filtralab: config error: a grid of 100 steps ")
         assert "MemoryError" not in captured.err
         assert not (tmp_path / "r.csv").exists()
-
-    def test_euler_sde_reflects_instead_of_failing(self, tmp_path):
-        # the reflecting integrator runs the config that once stopped at path 1032
-        out = tmp_path / "r.csv"
-        cfg = ScenarioConfig(
-            scenario="pitman", dt=1e-3, n_paths=2000, seed=1,
-            bes_method="euler-sde", out_path=str(out),
-        )
-        assert run(cfg) in (0, 1)
-        assert out.read_text().count("\n") == 30
 
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)

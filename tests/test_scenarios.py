@@ -77,7 +77,7 @@ class TestScenarioConfig:
     # later rules (divisibility, delta, checkpoints) are reached too.
     @settings(max_examples=400, deadline=None)
     # pitman's checkpoints h*k/10 overflow to inf where h/dt does not
-    @example("pitman", 1e308, 1.0, 1.0, 3.0, 100, "pitman-construction")
+    @example("pitman", 1e308, 1.0, 1.0, 3.0, 100)
     @given(
         scenario=st.sampled_from(sorted(sc._RECORDS)),
         horizon=st.one_of(st.floats(), st.sampled_from([1.0, 2.0, 1e300, 1e308])),
@@ -85,13 +85,11 @@ class TestScenarioConfig:
         delta=st.one_of(st.floats(), st.sampled_from([0.01, 0.05, 1.0, 1e300])),
         threshold=st.floats(),
         n_paths=st.integers(max_value=10**30),
-        bes_method=st.sampled_from(["pitman-construction", "euler-sde"]),
     )
-    def test_validated_returns_or_refuses(self, scenario, horizon, dt, delta, threshold,
-                                          n_paths, bes_method):
+    def test_validated_returns_or_refuses(self, scenario, horizon, dt, delta, threshold, n_paths):
         # runs no scenario: validation alone, which ends in a config or a refusal
         cfg = sc.ScenarioConfig(scenario=scenario, horizon=horizon, dt=dt, delta=delta,
-                                threshold=threshold, n_paths=n_paths, bes_method=bes_method)
+                                threshold=threshold, n_paths=n_paths)
         try:
             assert cfg.validated() is cfg
         except ConfigurationError:
@@ -273,11 +271,13 @@ class TestReportDeterminism:
             assert ea.z == pytest.approx(eb.z, abs=1e-9)
 
 
-_STATISTICAL = [(name, "pitman-construction") for name in sc._RECORDS] + [("pitman", "euler-sde")]
+_STATISTICAL = list(sc._RECORDS)
+# the ids keep their Bessel(3)-kernel suffix, so test ids stay stable
+_STATISTICAL_IDS = [f"{name}-pitman-construction" for name in _STATISTICAL]
 
 
-@pytest.mark.parametrize("scenario, method", _STATISTICAL)
-def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
+@pytest.mark.parametrize("scenario", _STATISTICAL, ids=_STATISTICAL_IDS)
+def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario):
     """Tiles of 11 rows (which divide neither block size) and one tile per
     block, on 1, 2 and 3 threads, give equal entries and verdicts, corrected
     and control, at ``_BLOCK_PATHS`` 100 and 777: each block reduces the same
@@ -293,7 +293,7 @@ def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario, method):
                 monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
                 run = sc.run_scenario(sc.ScenarioConfig(
                     scenario=scenario, dt=1e-2, n_paths=1000, seed=4,
-                    no_correction=control, bes_method=method))
+                    no_correction=control))
                 out.append((run.report.verdict, run.passed, [
                     (e.s, e.t, e.functional, e.mean, e.stderr, e.z, e.n_paths, e.passed)
                     for e in run.report.entries + run.extra_entries
@@ -495,8 +495,8 @@ def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, pr
             assert all(e.mean == 0.0 and e.stderr == 0.0 for e in entries)
 
 
-@pytest.mark.parametrize("scenario, method", _STATISTICAL)
-def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
+@pytest.mark.parametrize("scenario", _STATISTICAL, ids=_STATISTICAL_IDS)
+def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario):
     """Corrected and control reports are byte-identical with the per-path draw
     loop and the full-matrix last passage patched in (three blocks, so rows
     are re-keyed from lo = 0, 128 and 256)."""
@@ -505,7 +505,7 @@ def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario, method):
         out = []
         for control in (False, True):
             cfg = sc.ScenarioConfig(scenario=scenario, dt=0.01, n_paths=300, seed=5,
-                                    no_correction=control, bes_method=method)
+                                    no_correction=control)
             path = tmp_path / f"{tag}-{control}.csv"
             emit_report(sc.run_scenario(cfg), "csv", str(path))
             out.append(path.read_bytes())
