@@ -15,11 +15,7 @@ import numpy as np
 
 from .errors import SingularityError
 
-__all__ = [
-    "h_func_prime",
-    "supremum_instance_rate",
-    "emery_after_rate",
-]
+__all__ = ["h_func_prime", "supremum_instance_rate", "emery_after_rate"]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -45,7 +41,10 @@ def supremum_instance_rate(gap: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """
     gap = np.asarray(gap, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    return -(1.0 - gap ** 2 / tau)
+    rate = np.square(gap, out=np.empty(np.broadcast_shapes(gap.shape, tau.shape)))
+    rate /= tau
+    np.subtract(1.0, rate, out=rate)
+    return np.negative(rate, out=rate)
 
 
 def emery_after_rate(w, t, W1):

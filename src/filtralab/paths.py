@@ -23,12 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .rng import stream_keys, substream
 
-__all__ = [
-    "ScaleFunction",
-    "reciprocal_scale",
-    "draw_rows",
-    "pitman_from_draws",
-]
+__all__ = ["ScaleFunction", "reciprocal_scale", "draw_rows", "pitman_from_draws"]
 
 
 @dataclass(frozen=True)
@@ -64,30 +59,34 @@ def draw_rows(out: np.ndarray, seed: int, purpose: str, lo: int, draw) -> np.nda
     """Fill row k of ``out`` by ``draw(substream(seed, purpose, lo + k), row)``; returns ``out``.
 
     ``draw(gen, row)`` writes its draws into ``row`` in place (through the
-    generator's ``out=``); a 1-D ``out`` passes each element as a length-1
-    view.  One generator serves the whole call.  Before each later row its
-    Philox bit generator is re-keyed to that path's stream (the call's keys
-    are built at once), with the counter and the buffered state (``buffer``,
-    ``buffer_pos``, ``has_uint32``, ``uinteger``) reset to those of a new
-    generator, so every row draws exactly its own path's stream at a
-    fraction of a new generator's cost.
+    generator's ``out=``, or a scalar call for a lone value); a 1-D ``out``
+    passes each element as a length-1 view.  One generator serves the whole
+    call.  Before each later row its Philox bit generator is re-keyed to that
+    path's stream through a state dict of plain ints built once per call:
+    the counter and the buffered state (``buffer``, ``buffer_pos``,
+    ``has_uint32``, ``uinteger``) are those of a new generator, so every row
+    draws exactly its own path's stream at a fraction of a new generator's
+    cost.
     """
     gen = substream(seed, purpose, lo)
     bits = gen.bit_generator
     fresh = bits.state
-    keys = stream_keys(seed, purpose, lo, len(out))
-    for k in range(len(out)):
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"] = fresh["state"]["key"].tolist()  # [seed, word] on every row
+    words = stream_keys(seed, purpose, lo, len(out))[:, 1].tolist()
+    for k, row in enumerate(out[:, None] if out.ndim == 1 else out):
         if k:
-            fresh["state"]["key"] = keys[k]
+            key[1] = words[k]
             bits.state = fresh
-        draw(gen, out[k:k + 1] if out.ndim == 1 else out[k])
+        draw(gen, row)
     return out
 
 
 def _bridge_extremum(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray, side,
                      out: np.ndarray | None = None) -> np.ndarray:
     """0.5 * side(x + y, sqrt((y - x)**2 - 2 dt log u)) with two temporaries,
-    the second of them ``out`` when given."""
+    the second of them ``out`` when given; ``out`` may be ``u`` itself."""
     disc = np.subtract(y, x)
     np.square(disc, out=disc)
     out = np.log(u, out=out)
@@ -114,42 +113,36 @@ def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray,
     its inverse is the Brownian one with log u read as log(u + p0(1 - u)), and
     every draw is above 0.  Where xy >= 20 dt, p0 < e^-40 and the Brownian draw
     is kept: the two laws differ there by less than 5e-18 in total variation.
+    ``out`` may be ``u`` itself: the near cells' uniforms are taken first.
     """
-    out = _bridge_extremum(x, y, dt, u, np.subtract, out)
     near = np.nonzero(np.multiply(x, y) < 20.0 * dt)
     xn, yn, un = x[near], y[near], u[near]
+    out = _bridge_extremum(x, y, dt, u, np.subtract, out)
     un += np.exp(-2.0 / dt * xn * yn) * (1.0 - un)
     out[near] = _bridge_extremum(xn, yn, dt, un, np.subtract)
     return out
 
 
-def pitman_from_draws(
-    r0: float,
-    j0_uniform,
-    normals: np.ndarray,
-    bridge_uniforms: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """Deterministic kernel of the Pitman construction, along the last axis.
+def pitman_from_draws(r0: float, path: np.ndarray, sup: np.ndarray, dt: float) -> np.ndarray:
+    """Deterministic kernel of the Pitman construction, in place along the last axis.
 
-    The eventual infimum level is J0 = r0 * j0_uniform; the auxiliary
-    Brownian path starts at 2*J0 - r0 and its continuum running supremum is
-    sampled exactly step by step with bridge-maximum draws.  The returned
-    path R = 2*max(J0, sup B) - B then has the exact finite-dimensional law
-    of a three-dimensional Bessel process from r0, and R >= J0 > 0 pathwise.
-    A block passes one j0 uniform per row and (rows, n) normals and uniforms.
+    ``path`` holds the j0 uniform, then n normals; ``sup`` an unread entry,
+    then n bridge uniforms.  With J0 = r0 * j0_uniform, the auxiliary
+    Brownian path B from 2*J0 - r0 goes over ``path``, its continuum running
+    supremum, sampled exactly with bridge-maximum draws, over ``sup``, and
+    then R = 2*max(J0, sup B) - B over ``sup``, which is returned: R has the
+    exact finite-dimensional law of a Bessel(3) process from r0, and
+    R >= J0 > 0 pathwise.  A block passes (rows, n + 1) buffers.
     """
-    j0 = r0 * np.asarray(j0_uniform)[..., None]
-    b = np.empty(normals.shape[:-1] + (normals.shape[-1] + 1,))
-    b[..., :1] = 2.0 * j0 - r0
-    np.multiply(normals, math.sqrt(dt), out=b[..., 1:])
-    np.cumsum(b[..., 1:], axis=-1, out=b[..., 1:])
-    b[..., 1:] += b[..., :1]
-    sup = np.empty_like(b)
-    sup[..., :1] = b[..., :1]
-    _bridge_max(b[..., :-1], b[..., 1:], dt, bridge_uniforms, out=sup[..., 1:])
+    j0 = r0 * path[..., :1]
+    path[..., :1] = 2.0 * j0 - r0
+    path[..., 1:] *= math.sqrt(dt)
+    np.cumsum(path[..., 1:], axis=-1, out=path[..., 1:])
+    path[..., 1:] += path[..., :1]
+    sup[..., :1] = path[..., :1]
+    _bridge_max(path[..., :-1], path[..., 1:], dt, sup[..., 1:], out=sup[..., 1:])
     np.maximum.accumulate(sup[..., 1:], axis=-1, out=sup[..., 1:])
     np.maximum(j0, sup, out=sup)
     sup *= 2.0
-    sup -= b
+    sup -= path
     return sup

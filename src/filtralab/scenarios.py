@@ -244,9 +244,10 @@ def _brownian_block(grid: TimeGrid, seed: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _bridge_uniforms(seed: int, lo: int, nb: int, n: int) -> np.ndarray:
-    """1 - U for the n per-step uniforms of each row's ``bridge_min`` stream."""
-    u = draw_rows(np.empty((nb, n)), seed, "bridge_min", lo, lambda gen, row: gen.random(out=row))
+def _bridge_uniforms(seed: int, lo: int, nb: int, n: int, out=None) -> np.ndarray:
+    """1 - U for each row's n per-step ``bridge_min`` uniforms, in ``out`` if given."""
+    u = np.empty((nb, n)) if out is None else out
+    draw_rows(u, seed, "bridge_min", lo, lambda gen, row: gen.random(out=row))
     return np.subtract(1.0, u, out=u)
 
 
@@ -287,15 +288,8 @@ def _exact_last_passage(
     times = grid.times()
     t_lo, t_hi = times[k], times[k + 1]
     is_flip = flip[rows, k]
-    interp = np.where(
-        b_star == 0.0,
-        t_hi,
-        np.where(
-            a_star == 0.0,
-            t_lo,
-            t_lo + grid.dt * (-a_star) / np.where(b_star != a_star, b_star - a_star, 1.0),
-        ),
-    )
+    inside = t_lo + grid.dt * (-a_star) / np.where(b_star != a_star, b_star - a_star, 1.0)
+    interp = np.where(b_star == 0.0, t_hi, np.where(a_star == 0.0, t_lo, inside))
     out = np.where(is_flip, interp, t_hi)
     return np.where(any_row, out, 0.0)
 
@@ -492,23 +486,23 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     from .paths import _bridge_max
 
     w = _brownian_block(grid, cfg.seed, lo, hi)
-    bu = _bridge_uniforms(cfg.seed, lo, hi - lo, grid.n)
-    step_max = _bridge_max(w[:, :-1], w[:, 1:], grid.dt, bu)
+    # the step maxima, drawn over their uniforms in what becomes the record times
+    ttimes = np.empty_like(w)
+    step_max = _bridge_uniforms(cfg.seed, lo, hi - lo, grid.n, out=ttimes[:, :-1])
+    _bridge_max(w[:, :-1], w[:, 1:], grid.dt, step_max, out=step_max)
     u = np.empty_like(w)
     u[:, 0] = w[:, 0]
     np.maximum.accumulate(step_max, axis=1, out=u[:, 1:])
 
     rec = step_max > u[:, :-1]  # the supremum rises inside this step
-    mid = grid.times()[:-1] + 0.5 * grid.dt
-    vals = np.where(rec, mid[None, :], math.inf)
-    ttimes = np.empty_like(w)
-    ttimes[:, :-1] = np.minimum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-    ttimes[:, -1] = math.inf
+    ttimes.fill(math.inf)
+    np.copyto(ttimes[:, :-1], grid.times()[:-1] + 0.5 * grid.dt, where=rec)
+    np.minimum.accumulate(ttimes[:, ::-1], axis=1, out=ttimes[:, ::-1])
 
     z = draw_rows(np.empty(hi - lo), cfg.seed, "sup_tail", lo,
-                  lambda gen, row: gen.standard_normal(out=row))
+                  lambda gen, row: row.fill(gen.standard_normal()))
     t_star = grid.horizon + (u[:, -1] - w[:, -1]) ** 2 / (z * z)
-    ttimes = np.where(np.isfinite(ttimes), ttimes, t_star[:, None])
+    np.copyto(ttimes, t_star[:, None], where=np.isinf(ttimes))
     return BlockContext(grid.times(), w, U=u, Ttimes=ttimes)
 
 
@@ -519,13 +513,18 @@ def _supremum_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     gap cancelled against d<M,W> = (U - W) dt; steps starting at a record
     (U = W) contribute 0, as the instance's own increments do there.
     """
-    gap = ctx.U[:, :-1] - ctx.W[:, :-1]
-    m = cumulative(gap * np.diff(ctx.W, axis=1))
+    gap = np.subtract(ctx.U[:, :-1], ctx.W[:, :-1])
+    inc = np.diff(ctx.W, axis=1)
+    inc *= gap
+    m = cumulative(inc)
     if cfg.no_correction:
         return m
-    tau = ctx.Ttimes[:, :-1] - ctx.times[:-1][None, :]
-    rate = np.where(gap > 0.0, supremum_instance_rate(gap, tau), 0.0)
-    return m - cumulative(rate * cfg.dt)
+    # m minus the running sum of rate * dt, in place; tau = T - t goes into inc
+    rate = supremum_instance_rate(gap, np.subtract(ctx.Ttimes[:, :-1], ctx.times[:-1], out=inc))
+    np.copyto(rate, 0.0, where=gap <= 0.0)
+    rate *= cfg.dt
+    m[:, 1:] -= np.cumsum(rate, axis=1, out=rate)
+    return m
 
 
 def _supremum_functionals(cfg: ScenarioConfig, t: float) -> list:
@@ -537,23 +536,15 @@ def _supremum_functionals(cfg: ScenarioConfig, t: float) -> list:
     def masked(fn):
         return lambda ctx, si: record_free(ctx, si) * fn(ctx, si)
 
+    def gap(ctx: BlockContext, si: int) -> np.ndarray:
+        return ctx.U[:, si] - ctx.W[:, si]
+
     return [
         TestFunctional("recfree", record_free),
         TestFunctional("recfree*tanh(U)", masked(lambda ctx, si: np.tanh(ctx.U[:, si]))),
-        TestFunctional(
-            "recfree*tanh(U-W)",
-            masked(lambda ctx, si: np.tanh(ctx.U[:, si] - ctx.W[:, si])),
-        ),
-        TestFunctional(
-            "recfree*ratio",
-            masked(
-                lambda ctx, si: np.minimum(
-                    1.0,
-                    (ctx.U[:, si] - ctx.W[:, si]) ** 2
-                    / np.maximum(ctx.Ttimes[:, si] - ctx.times[si], 1e-300),
-                )
-            ),
-        ),
+        TestFunctional("recfree*tanh(U-W)", masked(lambda ctx, si: np.tanh(gap(ctx, si)))),
+        TestFunctional("recfree*ratio", masked(lambda ctx, si: np.minimum(
+            1.0, gap(ctx, si) ** 2 / np.maximum(ctx.Ttimes[:, si] - ctx.times[si], 1e-300)))),
     ]
 
 
@@ -579,6 +570,7 @@ def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
     # (Z and dNdW underflow together), in place and one temporary at a time
     rate = np.maximum(z, 1e-300)
     np.divide(dndw, rate, out=rate)
+    del dndw, z  # frees emery's parts; honest's shared ones stay in ctx.rate_parts
     dt_eff = np.subtract(tau[:, None], t[:-1][None, :])
     rate *= np.clip(dt_eff, 0.0, cfg.dt, out=dt_eff)
     del dt_eff
@@ -672,9 +664,17 @@ def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Block
 
 
 def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
+    """erfc(y/sqrt 2) + sqrt(2/pi)*y*exp(-0.5*y*y), in place in two buffers."""
     from scipy.special import erfc
 
-    return erfc(y / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi) * y * np.exp(-0.5 * y * y)
+    y = np.asarray(y, dtype=float)
+    z = np.multiply(-0.5, y, out=np.empty_like(y))
+    z *= y
+    s = np.multiply(math.sqrt(2.0 / math.pi), y, out=np.empty_like(y))
+    s *= np.exp(z, out=z)
+    erfc(np.divide(y, math.sqrt(2.0), out=z), out=z)
+    z += s
+    return z
 
 
 def _emery_rate_parts(ctx: BlockContext):
@@ -685,8 +685,16 @@ def _emery_rate_parts(ctx: BlockContext):
     """
     root = np.sqrt(1.0 - ctx.times[:-1])
     w = ctx.W[:, :-1]
-    y = np.abs(w) / root[None, :]
-    return -h_func_prime(y) * np.sign(w) / root[None, :], _emery_Z_from_y(y)
+    # y = |w|/root, then dndw = -h'(y)*sign(w)/root in place: h' runs before
+    # Z's buffers exist, and sign(w) goes into y once Z has read it
+    y = np.abs(w)
+    y /= root
+    dndw = h_func_prime(y)
+    np.negative(dndw, out=dndw)
+    z = _emery_Z_from_y(y)
+    dndw *= np.sign(w, out=y)
+    dndw /= root
+    return dndw, z
 
 
 def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -785,29 +793,30 @@ def _pitman_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bloc
     infimum given the terminal value, so I > 0 on every path.
     """
     nb, n = hi - lo, grid.n
-    # one row of the bes3 stream: j0 uniform, n normals, n bridge uniforms
-    def draw(gen, row):
-        gen.random(out=row[:1])
-        gen.standard_normal(out=row[1:n + 1])
-        gen.random(out=row[n + 1:])
+    # one buffer a row: R's n + 1 columns, then the auxiliary path's, which
+    # become I; the bes3 stream (j0 uniform, n normals, n bridge uniforms)
+    # fills all but the first column
+    buf = np.empty((nb, 2 * n + 2))
+    sup, path = buf[:, :n + 1], buf[:, n + 1:]
 
-    d = draw_rows(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, draw)
-    # 1 - U for the j0 uniform and the bridge uniforms
-    np.subtract(1.0, d[:, :1], out=d[:, :1])
-    np.subtract(1.0, d[:, n + 1:], out=d[:, n + 1:])
-    r = pitman_from_draws(1.0, d[:, 0], d[:, 1:n + 1], d[:, n + 1:], grid.dt)
-    del d  # the draws go before the future infimum's temporaries: same peak RSS
+    def draw(gen, row):
+        row[n] = 1.0 - gen.random()  # 1 - U, as for every uniform here
+        gen.standard_normal(out=row[n + 1:])
+        gen.random(out=row[:n])
+
+    draw_rows(buf[:, 1:], cfg.seed, "bes3", lo, draw)
+    np.subtract(1.0, sup[:, 1:], out=sup[:, 1:])
+    r = pitman_from_draws(1.0, path, sup, grid.dt)
     u_tail = draw_rows(np.empty(nb), cfg.seed, "inf_tail", lo,
-                       lambda gen, row: gen.random(out=row))
+                       lambda gen, row: row.fill(gen.random()))
     np.subtract(1.0, u_tail, out=u_tail)
     tails = reciprocal_scale().tail_sample(r[:, -1], u_tail)
-    # the step minima and min(R_1, tail) in one buffer, which becomes I in place
-    inf_path = np.empty_like(r)
-    _bridge_min(r[:, :-1], r[:, 1:], grid.dt, _bridge_uniforms(cfg.seed, lo, nb, n),
-                out=inf_path[:, :-1])
-    np.minimum(r[:, -1], tails, out=inf_path[:, -1])
-    np.minimum.accumulate(inf_path[:, ::-1], axis=1, out=inf_path[:, ::-1])
-    return BlockContext(grid.times(), r, I=inf_path)
+    # the step minima, drawn over their uniforms, and min(R_1, tail): I in place
+    step_min = _bridge_uniforms(cfg.seed, lo, nb, n, out=path[:, :-1])
+    _bridge_min(r[:, :-1], r[:, 1:], grid.dt, step_min, out=step_min)
+    np.minimum(r[:, -1], tails, out=path[:, -1])
+    np.minimum.accumulate(path[:, ::-1], axis=1, out=path[:, ::-1])
+    return BlockContext(grid.times(), r, I=path)
 
 
 def _pitman_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:

@@ -14,6 +14,10 @@ every piece.
 ``exact_last_passage_full`` (a touch probability on every step) are the
 plain forms of ``paths.draw_rows`` and ``scenarios._exact_last_passage``;
 patched in, they must leave every report byte-identical.
+``pitman_block_allocating`` and ``supremum_block_allocating`` build the
+Pitman and supremum blocks with a new matrix for every draw and every
+intermediate, as they were built before the kernels drew into the buffers
+that consume their draws; the in-place blocks must equal them bit for bit.
 """
 
 import math
@@ -21,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from filtralab import scenarios
+from filtralab import paths, scenarios
 from filtralab.gluing import PieceSystem, _mask_runs
 from filtralab.grids import GridPath, TimeGrid
 from filtralab.paths import ScaleFunction
@@ -44,6 +48,66 @@ def draw_rows_per_path(out: np.ndarray, seed: int, purpose: str, lo: int, draw) 
     for k in range(len(out)):
         draw(substream(seed, purpose, lo + k), out[k:k + 1] if out.ndim == 1 else out[k])
     return out
+
+
+def _uniforms(seed: int, purpose: str, lo: int, shape) -> np.ndarray:
+    """1 - U for each row's uniforms of one purpose, from a new generator per row."""
+    u = draw_rows_per_path(np.empty(shape), seed, purpose, lo, lambda gen, row: gen.random(out=row))
+    return 1.0 - u
+
+
+def bridge_min_allocating(x, y, dt, u):
+    """``paths._bridge_min`` with u and every near-cell temporary apart from its result."""
+    out = paths._bridge_extremum(x, y, dt, u, np.subtract)
+    near = np.nonzero(x * y < 20.0 * dt)
+    un = u[near] + np.exp(-2.0 / dt * x[near] * y[near]) * (1.0 - u[near])
+    out[near] = paths._bridge_extremum(x[near], y[near], dt, un, np.subtract)
+    return out
+
+
+def pitman_block_allocating(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int):
+    """(R, I) of paths [lo, hi): the Pitman construction R = 2 max(J0, sup B) - B
+    from each path's bes3 draws (j0 uniform, n normals, n bridge uniforms) and
+    the backward minimum of the Bessel(3)-bridge step minima and min(R_1, tail)."""
+    nb, n = hi - lo, grid.n
+
+    def draw(gen, row):
+        gen.random(out=row[:1])
+        gen.standard_normal(out=row[1:n + 1])
+        gen.random(out=row[n + 1:])
+
+    d = draw_rows_per_path(np.empty((nb, 2 * n + 1)), cfg.seed, "bes3", lo, draw)
+    j0 = 1.0 * (1.0 - d[:, :1])  # r0 * (1 - U) with r0 = 1
+    b = np.empty((nb, n + 1))
+    b[:, :1] = 2.0 * j0 - 1.0
+    b[:, 1:] = np.cumsum(d[:, 1:n + 1] * math.sqrt(grid.dt), axis=1) + b[:, :1]
+    step_max = paths._bridge_max(b[:, :-1], b[:, 1:], grid.dt, 1.0 - d[:, n + 1:])
+    sup = np.concatenate([b[:, :1], np.maximum.accumulate(step_max, axis=1)], axis=1)
+    r = 2.0 * np.maximum(j0, sup) - b
+    tails = paths.reciprocal_scale().tail_sample(r[:, -1], _uniforms(cfg.seed, "inf_tail", lo, nb))
+    u = _uniforms(cfg.seed, "bridge_min", lo, (nb, n))
+    ext = np.concatenate(
+        [bridge_min_allocating(r[:, :-1], r[:, 1:], grid.dt, u),
+         np.minimum(r[:, -1], tails)[:, None]], axis=1)
+    return r, np.minimum.accumulate(ext[:, ::-1], axis=1)[:, ::-1]
+
+
+def supremum_block_allocating(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int):
+    """(W, U, Ttimes) of paths [lo, hi): the running supremum from exact step
+    maxima and the record times (the midpoint of the next step in which U
+    rises), censored ones completed by one post-horizon first-passage draw."""
+    nb, n = hi - lo, grid.n
+    w = scenarios._brownian_block(grid, cfg.seed, lo, hi)
+    step_max = paths._bridge_max(w[:, :-1], w[:, 1:], grid.dt,
+                                 _uniforms(cfg.seed, "bridge_min", lo, (nb, n)))
+    u = np.concatenate([w[:, :1], np.maximum.accumulate(step_max, axis=1)], axis=1)
+    mid = grid.times()[:-1] + 0.5 * grid.dt
+    vals = np.where(step_max > u[:, :-1], mid[None, :], math.inf)
+    ttimes = np.full_like(w, math.inf)
+    ttimes[:, :-1] = np.minimum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
+    z = np.array([substream(cfg.seed, "sup_tail", lo + k).standard_normal() for k in range(nb)])
+    t_star = grid.horizon + (u[:, -1] - w[:, -1]) ** 2 / (z * z)
+    return w, u, np.where(np.isfinite(ttimes), ttimes, t_star[:, None])
 
 
 def exact_last_passage_full(values, levels, grid, seed, lo):

@@ -23,7 +23,12 @@ from filtralab.grids import GridPath, TimeGrid
 from filtralab import paths as P
 from filtralab import scenarios as sc
 from filtralab.rng import PURPOSE, substream
-from oracles import draw_rows_per_path, last_level_crossing
+from oracles import (
+    draw_rows_per_path,
+    last_level_crossing,
+    pitman_block_allocating,
+    supremum_block_allocating,
+)
 
 
 GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
@@ -152,23 +157,54 @@ class TestDrawRows:
 class TestSimulateBes3:
     def test_degenerate_draws_keep_r0(self):
         # zero Brownian increments and unit bridge uniforms: R stays at r0
-        r = P.pitman_from_draws(1.3, 0.4, np.zeros(50), np.ones(50), 0.01)
+        r = P.pitman_from_draws(1.3, np.r_[0.4, np.zeros(50)], np.ones(51), 0.01)
         assert np.allclose(r, 1.3)
 
     def test_block_matches_one_path_calls(self):
         # the block construction equals the 1-D call on each path's own bes3 draws
         cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-2, seed=13)
         grid, n = cfg.grid(), cfg.grid().n
+        # (path, sup): the j0 uniform and the normals, an unread NaN and the
+        # bridge uniforms; the kernel writes over both, so each call gets copies
         rows = []
         for i in range(4, 24):
             gen = substream(13, "bes3", i)
-            j0u = 1.0 - gen.uniform()
-            z = gen.standard_normal(n)
-            rows.append((j0u, z, 1.0 - gen.uniform(size=n)))
-        one = [P.pitman_from_draws(1.0, j0u, z, bu, grid.dt) for j0u, z, bu in rows]
-        j0s, zs, bus = (np.array(col) for col in zip(*rows))
-        assert np.array_equal(P.pitman_from_draws(1.0, j0s, zs, bus, grid.dt), one)
+            path = np.r_[1.0 - gen.uniform(), gen.standard_normal(n)]
+            rows.append((path, np.r_[np.nan, 1.0 - gen.uniform(size=n)]))
+        one = [P.pitman_from_draws(1.0, path.copy(), sup.copy(), grid.dt) for path, sup in rows]
+        paths, sups = (np.array(col) for col in zip(*rows))
+        assert np.array_equal(P.pitman_from_draws(1.0, paths, sups, grid.dt), one)
         assert np.array_equal(sc._pitman_block(cfg, grid, 4, 24).W, one)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    @pytest.mark.parametrize("lo, rows", [(0, 1), (41, 130), (1000, 7)])
+    def test_in_place_blocks_match_allocating_oracles(self, lo, rows, dt):
+        # the Pitman and supremum blocks, built in the buffers their draws
+        # land in, equal the allocating constructions bit for bit
+        cfg = sc.ScenarioConfig(scenario="pitman", dt=dt, seed=23)
+        grid = cfg.grid()
+        ctx = sc._pitman_block(cfg, grid, lo, lo + rows)
+        r, inf = pitman_block_allocating(cfg, grid, lo, lo + rows)
+        assert np.array_equal(ctx.W, r)
+        assert np.array_equal(ctx.I, inf)
+        ctx = sc._supremum_block(cfg, grid, lo, lo + rows)
+        w, u, ttimes = supremum_block_allocating(cfg, grid, lo, lo + rows)
+        assert np.array_equal(ctx.W, w)
+        assert np.array_equal(ctx.U, u)
+        assert np.array_equal(ctx.Ttimes, ttimes)
+
+    def test_bridge_min_writes_over_its_uniforms(self):
+        # out may be u itself: the near cells' uniforms are read before any
+        # minimum is written over them
+        rng = np.random.default_rng(31)
+        dt = 1e-2
+        x, y = rng.uniform(0.01, 1.0, (2, 20, 50))
+        near = x * y < 20.0 * dt
+        assert near.any() and not near.all()
+        u = 1.0 - rng.random((20, 50))
+        want = P._bridge_min(x, y, dt, u.copy())
+        assert P._bridge_min(x, y, dt, u, out=u) is u
+        assert np.array_equal(u, want)
 
     def test_pitman_strictly_positive(self):
         cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-3, seed=9)
@@ -236,7 +272,9 @@ class TestFutureInfimum:
                 return 4.0
 
         class Zeros:
-            def random(self, out):
+            def random(self, out=None):
+                if out is None:  # a scalar call
+                    return 0.0
                 out[...] = 0.0
 
             standard_normal = random

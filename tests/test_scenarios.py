@@ -338,6 +338,45 @@ def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
     assert peak(8192, 3) <= 1.25 * one
 
 
+# Ceilings of one tile's traced peak, in path matrices, as (corrected,
+# control).  Before the block kernels drew into the buffers that consume
+# their draws, this measure read pitman 5.14 / 5.13, supremum 7.85 / 7.33,
+# emery-before 6.46 / 4.02, honest 4.81 / 4.02, emery-after 4.44 / 3.99 and
+# bridge 3.48 / 1.11 (rounded up): pitman must now stay under 3.25, supremum
+# and emery-before a matrix under their old peaks, and nothing above it.
+_TILE_PEAKS = {
+    "pitman": (3.25, 3.25),
+    "supremum": (6.81, 7.33),
+    "emery-before": (5.41, 4.02),
+    "honest": (4.81, 4.02),
+    "emery-after": (4.44, 3.99),
+    "bridge": (3.48, 1.11),
+}
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["corrected", "control"])
+@pytest.mark.parametrize("scenario", list(_TILE_PEAKS))
+def test_tile_peak_in_path_matrices(monkeypatch, scenario, control):
+    """The traced peak of a run of one tile on one thread (its block and
+    every leg, as ``_drive`` runs them) at dt 1e-3, in path matrices of
+    rows x (n + 1) float64s; a first run keeps one-time imports out of it."""
+    import tracemalloc
+
+    assert set(_TILE_PEAKS) == set(sc._RECORDS)
+    monkeypatch.setattr(sc, "_tile_threads", lambda: 1)
+    cfg = sc.ScenarioConfig(scenario=scenario, dt=1e-3, seed=3, no_correction=control)
+    rows = sc._tile_rows(cfg.grid(), 1)
+    cfg = replace(cfg, n_paths=rows)
+    sc.run_scenario(cfg)
+    tracemalloc.start()
+    try:
+        sc.run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (rows * (cfg.grid().n + 1) * 8) <= _TILE_PEAKS[scenario][control]
+
+
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
 def test_tile_threads_keep_the_smallest_measured_tile(monkeypatch, cpus, threads):
     # one thread per CPU of the affinity mask, or of os.cpu_count() without
