@@ -144,7 +144,7 @@ def build_config(argv) -> ScenarioConfig:
     for key, val in vars(ns).items():
         if val is not None and key != "config_file":
             settings[key] = val
-    if "seed" not in settings and os.environ.get("FILTRALAB_SEED"):
+    if "seed" not in settings and "FILTRALAB_SEED" in os.environ:
         settings["seed"] = _coerce("seed", os.environ["FILTRALAB_SEED"], "FILTRALAB_SEED")
     if "scenario" not in settings:
         raise ConfigurationError("--scenario (or a config file naming one) is required")
@@ -173,9 +173,8 @@ def run(config: ScenarioConfig) -> int:
             return 2
     verdict = "PASS" if result.passed else "FAIL"
     n_entries = len(result.report.entries) + len(result.extra_entries)
-    tag = " (vacuous)" if result.report.vacuous and not result.extra_entries else ""
     print(
-        f"{result.name}: {verdict}{tag} "
+        f"{result.name}: {verdict} "
         f"[{n_entries} entries, max |z| = {result.report.max_abs_z():.3g}, "
         f"threshold {result.report.per_entry_threshold:.3g}]"
     )
@@ -185,7 +184,7 @@ def run(config: ScenarioConfig) -> int:
 def main(argv=None) -> int:
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
-    except (ConfigurationError, FiltralabError, OSError, ValueError) as exc:
+    except (FiltralabError, OSError, ValueError) as exc:
         print(f"filtralab: {exc}", file=sys.stderr)
         return 2
     return run(config)

@@ -25,12 +25,10 @@ __all__ = [
     "LeftStepFunction",
     "CadlagFunction",
     "LeftIntervalSet",
-    "EndpointType",
     "stop",
     "elem_integral",
     "check_composition",
     "jump_of_integral",
-    "classify_endpoints",
     "union_integral",
     "probe_points",
 ]
@@ -231,33 +229,6 @@ class LeftIntervalSet:
             else:
                 out.append([lo, hi])
         return [(lo, hi) for lo, hi in out]
-
-
-@dataclass(frozen=True)
-class EndpointType:
-    """Classification of one right endpoint b_i of a family of left intervals.
-
-    first  iff a_j < b_i < b_j for some j;
-    second iff not first and b_i = a_j for some j;
-    third  otherwise.  First takes precedence, then second.
-    """
-
-    endpoint: float
-    tag: str
-
-
-def classify_endpoints(intervals: LeftIntervalSet) -> list:
-    ivs = intervals.intervals
-    out = []
-    for _, bi in ivs:
-        if any(aj < bi < bj for aj, bj in ivs):
-            tag = "first"
-        elif any(bi == aj for aj, _ in ivs):
-            tag = "second"
-        else:
-            tag = "third"
-        out.append(EndpointType(bi, tag))
-    return out
 
 
 def union_integral(

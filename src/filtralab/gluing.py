@@ -5,8 +5,7 @@ agrees with outside the pieces, and a family of random left intervals
 (T_i, U_i] with per-piece drifts.  ``glue`` constructs, on the grid: the
 predictable set A and its thin complement C, the epsilon ladders
 (R_n, d_{R_n}] that exhaust A, the merged drift, the boundary compensators
-V+ and V-, and the zero-level residual.  ``jump_compensation`` gives the
-crossing-overshoot sum over A on its own.
+V+ and V-, and the zero-level residual.
 
 Grid conventions (all exact, no limits are approximated):
 
@@ -32,10 +31,8 @@ __all__ = [
     "Piece",
     "PieceSystem",
     "GluedDecomposition",
-    "compute_dR",
     "build_sets",
     "assemble_chi_union",
-    "jump_compensation",
     "glue",
     "boundary_half_local_time",
     "reconstruction_residual",
@@ -157,24 +154,11 @@ def _dR_times(times: np.ndarray, covered: np.ndarray) -> np.ndarray:
     return np.append(times, math.inf)[first]
 
 
-def compute_dR(system: PieceSystem, R: float) -> float:
-    """First grid time >= R not covered by any piece; math.inf if none."""
-    grid = system.grid
-    start = max(0, math.ceil(round((R - grid.t0) / grid.dt, 9)))
-    if start > grid.n:
-        return math.inf
-    return float(_dR_times(grid.times(), system.covered_mask())[start])
-
-
 def _uncovered_prefix_index(grid: TimeGrid, covered: np.ndarray) -> np.ndarray:
-    """Index of the largest uncovered grid point < t_k, per k.
-
-    When no such point exists the value is the index absolute time 0 would
-    have (the convention g = 0), which is 0 on the usual t0 = 0 grids.
-    """
+    """Index of the largest uncovered grid point < t_k, per k; 0 (g = 0) if none."""
     last = np.maximum.accumulate(np.where(covered, -1, np.arange(grid.n + 1)))
     g = np.concatenate(([-1], last[:-1]))
-    return np.where(g >= 0, g, -int(round(grid.t0 / grid.dt)))
+    return np.maximum(g, 0)
 
 
 def _mask_runs(mask: np.ndarray):
@@ -271,17 +255,6 @@ def _crossing_overshoot(d: np.ndarray) -> np.ndarray:
     """Per step of d: d^- after a start above 0, d^+ after one at or below 0."""
     left, right = d[:-1], d[1:]
     return np.where(left > 0.0, np.maximum(-right, 0.0), np.maximum(right, 0.0))
-
-
-def jump_compensation(system: PieceSystem, a_mask: np.ndarray) -> GridPath:
-    """Cumulative sum, over A, of the zero-crossing parts of S - S_check.
-
-    At each grid step inside A the summand is (S-S_check)^- after a start
-    above 0 and (S-S_check)^+ after a start at or below 0, i.e. the
-    overshoot of a sign crossing; steps without a crossing contribute 0.
-    """
-    d = system.S.values - system.S_check.values
-    return GridPath(system.grid, cumulative(_crossing_overshoot(d) * a_mask[1:]))
 
 
 def glue(

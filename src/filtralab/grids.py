@@ -22,9 +22,8 @@ _GRID_TIME_TOL = 1e-9  # a time within this many dt of a grid point is that poin
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 + k*dt for k = 0..n."""
+    """Uniform grid k*dt for k = 0..n."""
 
-    t0: float
     dt: float
     n: int
 
@@ -36,16 +35,16 @@ class TimeGrid:
 
     @property
     def horizon(self) -> float:
-        return self.t0 + self.n * self.dt
+        return self.n * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n + 1)
+        return self.dt * np.arange(self.n + 1)
 
     def index_of(self, t: float) -> int:
         """Index of the grid point equal to t (within _GRID_TIME_TOL * dt)."""
-        x = (t - self.t0) / self.dt
+        x = t / self.dt
         k = round(x) if math.isfinite(x) else -1  # an overflowed t is refused below
-        if k < 0 or k > self.n or abs(self.t0 + k * self.dt - t) > _GRID_TIME_TOL * self.dt:
+        if k < 0 or k > self.n or abs(k * self.dt - t) > _GRID_TIME_TOL * self.dt:
             raise ConfigurationError(f"{t} is not a grid time of {self}")
         return int(k)
 

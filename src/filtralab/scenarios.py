@@ -144,7 +144,7 @@ class ScenarioConfig:
         return self
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(0.0, self.dt, round(self.horizon / self.dt))
+        return TimeGrid(self.dt, round(self.horizon / self.dt))
 
 
 @dataclass(frozen=True)
@@ -858,7 +858,7 @@ def random_piece_system(
     adds a disturbance supported on the covered grid points; piece drifts
     restrict one common increment stream.
     """
-    grid = TimeGrid(0.0, dt, n_steps)
+    grid = TimeGrid(dt, n_steps)
     times = grid.times()
     intervals = []
     for _ in range(n_pieces):

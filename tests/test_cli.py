@@ -194,10 +194,11 @@ class TestEmitReport:
 
 class TestExitCodes:
     def test_deterministic_scenarios_pass(self, capsys):
-        assert run(ScenarioConfig(scenario="elemint-check", seed=1)) == 0
-        out = capsys.readouterr().out
-        assert "elemint-check: PASS" in out
-        assert run(ScenarioConfig(scenario="glue-demo", seed=1)) == 0
+        for name in ("elemint-check", "glue-demo"):
+            assert run(ScenarioConfig(scenario=name, seed=1)) == 0
+            assert capsys.readouterr().out == (
+                f"{name}: PASS [1 entries, max |z| = 0, threshold 3]\n"
+            )
 
     def test_statistical_fail_exit_one(self):
         cfg = ScenarioConfig(
@@ -246,7 +247,7 @@ class TestExitCodes:
         assert code in (0, 1) and capsys.readouterr().err == ""
         assert out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "1e3", "7 seven"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "1e3", "7 seven", ""])
     def test_bad_env_seed_one_line(self, tmp_path, capsys, monkeypatch, value):
         from filtralab.cli import main
 

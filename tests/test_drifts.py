@@ -20,7 +20,7 @@ from filtralab.paths import reciprocal_scale
 
 def _ctx(dt, w, **fields):
     """One-path BlockContext on the grid 0, dt, ..., (len(w) - 1) dt."""
-    grid = TimeGrid(0.0, dt, len(w) - 1)
+    grid = TimeGrid(dt, len(w) - 1)
     fields = {k: np.array([v], dtype=float) for k, v in fields.items()}
     return sc.BlockContext(grid.times(), np.array([w], dtype=float), **fields)
 
@@ -72,7 +72,7 @@ class TestHFunc:
         # Z = 1 at w = 0, even in w, decreasing in |w|, within [0, 1]; one
         # path per w, constant in time, on the left endpoints t = 0, ..., 0.99
         w = np.linspace(-4.0, 4.0, 101)
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         ctx = sc.BlockContext(grid.times(), np.repeat(w[:, None], grid.n + 1, axis=1))
         _, zs = sc._emery_rate_parts(ctx)
         for z in zs.T:
@@ -244,7 +244,7 @@ class TestEmeryAfterDrift:
         assert vals[0] < vals[1] < vals[2]
 
     def test_window_masking(self):
-        grid = TimeGrid(0.0, 0.1, 9)
+        grid = TimeGrid(0.1, 9)
         ctx = _ctx(0.1, np.linspace(0.0, 0.9, 10), W1=0.9, xi=0.3)
         inc = _drift(sc._emery_after_candidate, _cfg(0.1, delta=0.1), ctx)
         t_left = grid.times()[:-1]

@@ -155,22 +155,6 @@ class TestComposition:
         assert ei.check_composition(g, h, f)
 
 
-class TestClassifyEndpoints:
-    def test_second_and_third(self):
-        s = ei.LeftIntervalSet(((0.0, 1.0), (1.0, 2.0), (3.0, 4.0)))
-        tags = [e.tag for e in ei.classify_endpoints(s)]
-        assert tags == ["second", "third", "third"]
-
-    def test_first_takes_precedence(self):
-        s = ei.LeftIntervalSet(((0.0, 2.0), (1.0, 3.0)))
-        tags = [e.tag for e in ei.classify_endpoints(s)]
-        assert tags == ["first", "third"]
-
-    def test_single_interval(self):
-        s = ei.LeftIntervalSet(((0.0, 1.0),))
-        assert ei.classify_endpoints(s)[0].tag == "third"
-
-
 class TestUnionIntegral:
     def test_overlapping_cover(self):
         s = ei.LeftIntervalSet(((0.0, 1.0), (0.5, 2.0)))

@@ -12,12 +12,11 @@ from filtralab.gluing import (
     PieceSystem,
     assemble_chi_union,
     boundary_half_local_time,
+    _dR_times,
     _mask_runs,
     _uncovered_prefix_index,
     build_sets,
-    compute_dR,
     glue,
-    jump_compensation,
     reconstruction_residual,
 )
 from filtralab.scenarios import random_piece_system
@@ -25,7 +24,7 @@ from filtralab.scenarios import random_piece_system
 
 def make_system(dt, values_s, values_check, intervals, chi_inc=None):
     n = len(values_s) - 1
-    grid = TimeGrid(0.0, dt, n)
+    grid = TimeGrid(dt, n)
     if chi_inc is None:
         chi_inc = np.zeros(n)
     return PieceSystem.from_common_drift(
@@ -34,25 +33,6 @@ def make_system(dt, values_s, values_check, intervals, chi_inc=None):
         intervals,
         chi_inc,
     )
-
-
-class TestComputeDR:
-    def test_scan_past_overlapping_pieces(self):
-        # pieces {(0,2], (1,3]} on dt=0.5: first uncovered grid time >= 0.5 is 3.5
-        sys_ = make_system(0.5, np.zeros(9), np.zeros(9), [(0.0, 2.0), (1.0, 3.0)])
-        assert compute_dR(sys_, 0.5) == pytest.approx(3.5)
-
-    def test_uncovered_R_returns_itself(self):
-        sys_ = make_system(0.5, np.zeros(9), np.zeros(9), [(0.0, 2.0)])
-        assert compute_dR(sys_, 3.0) == pytest.approx(3.0)
-
-    def test_empty_piece_set(self):
-        sys_ = make_system(0.5, np.zeros(9), np.zeros(9), [])
-        assert compute_dR(sys_, 1.5) == pytest.approx(1.5)
-
-    def test_covered_through_horizon(self):
-        sys_ = make_system(0.5, np.zeros(9), np.zeros(9), [(0.0, 10.0)])
-        assert compute_dR(sys_, 0.5) == math.inf
 
 
 class TestBuildSets:
@@ -110,17 +90,16 @@ class TestBuildSets:
             build_sets(sys_, [0.3])
 
 
-@pytest.mark.parametrize("t0", [-0.3, 0.0, 0.25])
-class TestIndexHelpersOffOrigin:
-    """Index helpers against brute-force definitions on grids starting at t0."""
+class TestIndexHelpers:
+    """Index helpers against brute-force definitions on random coverings."""
 
     @staticmethod
-    def systems(t0, count=60):
+    def systems(count=60):
         rng = np.random.default_rng(41)
         for _ in range(count):
             dt = float(rng.choice([0.05, 0.1]))
             n = int(rng.integers(1, 40))
-            grid = TimeGrid(t0, dt, n)
+            grid = TimeGrid(dt, n)
             covered = rng.random(n + 1) < rng.uniform(0.2, 0.9)
             times = grid.times()
             # one piece (t_k - dt/2, t_k] per covered grid point
@@ -133,9 +112,8 @@ class TestIndexHelpersOffOrigin:
             yield sys_, covered
 
     @staticmethod
-    def last_uncovered_before(grid, covered, k):
-        origin = -round(grid.t0 / grid.dt)  # index of absolute time 0
-        return max((j for j in range(k) if not covered[j]), default=origin)
+    def last_uncovered_before(covered, k):
+        return max((j for j in range(k) if not covered[j]), default=0)
 
     @staticmethod
     def first_uncovered_time_from(grid, covered, k):
@@ -143,14 +121,14 @@ class TestIndexHelpersOffOrigin:
         return min((float(times[j]) for j in range(k, grid.n + 1) if not covered[j]),
                    default=math.inf)
 
-    def test_uncovered_prefix_index(self, t0):
-        for sys_, covered in self.systems(t0):
-            want = [self.last_uncovered_before(sys_.grid, covered, k)
+    def test_uncovered_prefix_index(self):
+        for sys_, covered in self.systems():
+            want = [self.last_uncovered_before(covered, k)
                     for k in range(sys_.grid.n + 1)]
             assert list(_uncovered_prefix_index(sys_.grid, covered)) == want
 
-    def test_mask_runs(self, t0):
-        for _, covered in self.systems(t0):
+    def test_mask_runs(self):
+        for _, covered in self.systems():
             n = len(covered)
             want = [
                 (a, b) for a in range(n) for b in range(a, n)
@@ -162,18 +140,14 @@ class TestIndexHelpersOffOrigin:
             assert got == want
             assert all(type(v) is int for run in got for v in run)
 
-    def test_compute_dR_on_off_and_past_the_grid(self, t0):
-        for sys_, covered in self.systems(t0):
+    def test_dR_times(self):
+        for sys_, covered in self.systems():
             grid = sys_.grid
-            probes = [(t0 - 1.0, 0), (t0 - 0.5 * grid.dt, 0),
-                      (grid.horizon + 0.5 * grid.dt, grid.n + 1), (grid.horizon + 1.0, grid.n + 1)]
-            for k, t in enumerate(grid.times()):
-                probes += [(t, k), (t + 0.5 * grid.dt, k + 1)]
-            for R, k in probes:
-                assert compute_dR(sys_, R) == self.first_uncovered_time_from(grid, covered, k)
+            want = [self.first_uncovered_time_from(grid, covered, k) for k in range(grid.n + 1)]
+            assert list(_dR_times(grid.times(), covered)) == want
 
-    def test_build_sets_ladders(self, t0):
-        for sys_, covered in self.systems(t0):
+    def test_build_sets_ladders(self):
+        for sys_, covered in self.systems():
             grid = sys_.grid
             times = grid.times()
             n = grid.n
@@ -181,7 +155,7 @@ class TestIndexHelpersOffOrigin:
             a_mask, _, eps_masks, ladders = build_sets(sys_, eps_list)
             assert list(a_mask) == [False] + list(covered[:-1])
             for m, eps in enumerate(eps_list, start=1):
-                mask = [bool(a_mask[k]) and k - self.last_uncovered_before(grid, covered, k) > m
+                mask = [bool(a_mask[k]) and k - self.last_uncovered_before(covered, k) > m
                         for k in range(n + 1)]
                 assert list(eps_masks[eps]) == mask
                 starts = [k for k in range(n + 1) if mask[k] and (k == 0 or not mask[k - 1])]
@@ -221,25 +195,28 @@ class TestAssembleChiUnion:
 
 
 class TestJumpCompensation:
+    """The crossing-overshoot sum over A: half of l_union with no declared jumps."""
+
+    @staticmethod
+    def compensation(sys_, strict=True):
+        no_jumps = np.zeros(sys_.grid.n, dtype=bool)
+        return glue(sys_, [0.5], jump_mask=no_jumps, strict=strict).l_union.values / 2.0
+
     def test_no_sign_change_is_zero(self):
         sys_ = make_system(0.5, [0.0, 1.0, 2.0, 1.0, 3.0], np.zeros(5), [(0.0, 10.0)])
-        a_mask, *_ = build_sets(sys_, [0.5])
-        assert np.all(jump_compensation(sys_, a_mask).values == 0.0)
+        assert np.all(self.compensation(sys_) == 0.0)
 
     def test_single_down_crossing(self):
         # S - S_check goes 0.3 -> -0.4 inside A: step of 0.4
         sys_ = make_system(
             0.5, [0.0, 0.3, 0.3, -0.4, -0.4], np.zeros(5), [(0.0, 10.0)]
         )
-        a_mask, *_ = build_sets(sys_, [0.5])
-        out = jump_compensation(sys_, a_mask)
-        assert out.values[-1] == pytest.approx(0.4)
+        assert self.compensation(sys_)[-1] == pytest.approx(0.4)
 
     def test_crossing_outside_A_ignored(self):
-        sys_ = make_system(0.5, [0.0, 0.3, -0.4, 0.0, 0.0], np.zeros(5), [(0.0, 10.0)])
-        mask = np.zeros(5, dtype=bool)  # force empty A
-        out = jump_compensation(sys_, mask)
-        assert np.all(out.values == 0.0)
+        # no piece covers the crossing, so A is empty and the support check must be off
+        sys_ = make_system(0.5, [0.0, 0.3, -0.4, 0.0, 0.0], np.zeros(5), [])
+        assert np.all(self.compensation(sys_, strict=False) == 0.0)
 
 
 class TestGlue:
@@ -311,7 +288,7 @@ class TestGlue:
         d = np.abs(w) - 1e-9  # sits near 0, crosses at fp level
         s_check = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(dt), n))])
         s = s_check + d
-        grid = TimeGrid(0.0, dt, n)
+        grid = TimeGrid(dt, n)
         sys_ = PieceSystem.from_common_drift(
             GridPath(grid, s), GridPath(grid, s_check), [(-dt, n * dt)], np.zeros(n)
         )

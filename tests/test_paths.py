@@ -31,7 +31,7 @@ from oracles import (
 )
 
 
-GRID3 = TimeGrid(0.0, 1.0 / 3.0, 3)
+GRID3 = TimeGrid(1.0 / 3.0, 3)
 
 # every block builder, with a scenario that runs it
 _BUILDERS = [
@@ -45,37 +45,37 @@ _BUILDERS = [
 
 class TestSimulateBrownian:
     def test_starts_at_zero_and_variance(self):
-        grid = TimeGrid(0.0, 1e-3, 1000)
+        grid = TimeGrid(1e-3, 1000)
         block = sc._brownian_block(grid, 3, 0, 4)
         assert np.all(block[:, 0] == 0.0)
         # per-path increment variance over 10^6 steps within 1%
-        big = TimeGrid(0.0, 1e-3, 10**6)
+        big = TimeGrid(1e-3, 10**6)
         one = sc._brownian_block(big, 3, 0, 1)
         v = np.var(np.diff(one[0]), ddof=1)
         assert abs(v - big.dt) <= 0.01 * big.dt
 
     def test_determinism_bit_identical(self):
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         a = sc._brownian_block(grid, 7, 0, 8)
         b = sc._brownian_block(grid, 7, 0, 8)
         assert np.array_equal(a, b)
 
     def test_per_path_streams_ignore_ensemble_size(self):
-        grid = TimeGrid(0.0, 0.01, 50)
+        grid = TimeGrid(0.01, 50)
         small = sc._brownian_block(grid, 11, 0, 3)
         large = sc._brownian_block(grid, 11, 0, 10)
         assert np.array_equal(small, large[:3])
         assert np.array_equal(sc._brownian_block(grid, 11, 2, 5), large[2:5])
 
     def test_terminal_mean_symmetry(self):
-        grid = TimeGrid(0.0, 0.01, 100)
+        grid = TimeGrid(0.01, 100)
         block = sc._brownian_block(grid, 5, 0, 100_000)
         m = block[:, -1].mean()
         assert abs(m) <= 3.0 * math.sqrt(1.0 / 100_000)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            TimeGrid(0.0, -0.1, 10)
+            TimeGrid(-0.1, 10)
         with pytest.raises(ConfigurationError):
             sc.ScenarioConfig(scenario="bridge", dt=0.1, n_paths=0).validated()
 
@@ -290,7 +290,7 @@ class TestFutureInfimum:
         monkeypatch.setattr(sc, "reciprocal_scale", FixedTail)
         monkeypatch.setattr(sc, "draw_rows", zero_rows)
         cfg = sc.ScenarioConfig(scenario="pitman", dt=0.5, seed=1)
-        ctx = sc._pitman_block(cfg, TimeGrid(0.0, 0.5, 2), 0, 1)
+        ctx = sc._pitman_block(cfg, TimeGrid(0.5, 2), 0, 1)
         assert np.array_equal(ctx.I[0], [2.0, 2.0, 4.0])
 
     def test_tail_law_uniform_ks(self):
@@ -438,7 +438,7 @@ class TestExtractEnlargement:
 
 class TestBracketEstimate:
     def test_brownian_quadratic_variation(self):
-        grid = TimeGrid(0.0, 1e-4, 10_000)
+        grid = TimeGrid(1e-4, 10_000)
         path = sc._brownian_block(grid, 17, 0, 1)[0]
         qv = np.sum(np.diff(path) ** 2)
         assert abs(qv - 1.0) <= 0.05

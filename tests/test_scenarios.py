@@ -99,7 +99,7 @@ class TestScenarioConfig:
 class TestBlockKernels:
     def test_brownian_block_matches_simulate(self):
         # each row is its own path's substream, summed and scaled
-        grid = TimeGrid(0.0, 0.01, 50)
+        grid = TimeGrid(0.01, 50)
         block = sc._brownian_block(grid, 13, 2, 5)
         for i in range(2, 5):
             z = substream(13, "brownian", i).standard_normal(grid.n)
@@ -109,7 +109,7 @@ class TestBlockKernels:
     def test_exact_last_passage_matches_scalar_op_without_touches(self):
         # every grid value at least 1 away from the level: a same-side step
         # touches with probability below exp(-40), so only flips count
-        grid = TimeGrid(0.0, 0.05, 20)
+        grid = TimeGrid(0.05, 20)
         rng = np.random.default_rng(3)
         levels = rng.normal(0.0, 0.3, size=40)
         sides = rng.choice([-1.0, 1.0], size=(40, 21), p=[0.3, 0.7])
@@ -120,7 +120,7 @@ class TestBlockKernels:
             assert out[i] == pytest.approx(want, abs=1e-12)
 
     def test_exact_last_passage_never_earlier_than_flips(self):
-        grid = TimeGrid(0.0, 0.05, 20)
+        grid = TimeGrid(0.05, 20)
         vals = _walks(4, 60, 20)
         exact = sc._exact_last_passage(vals, np.zeros(60), grid, seed=4, lo=0)
         for i in range(60):
@@ -131,7 +131,7 @@ class TestBlockKernels:
         # adversarial blocks, on half the steps with the smallest 1 - U there is
         # (2^-53, where a touch is likeliest): grid values exactly at the level,
         # and same-side steps whose a*b sits at, just below and just above 20*dt
-        grid = TimeGrid(0.0, 0.01, 40)
+        grid = TimeGrid(0.01, 40)
         cut = 20.0 * grid.dt
         rng = np.random.default_rng(11)
         levels = np.where(np.arange(300) < 150, 0.0, rng.normal(0.0, 0.5, 300))
@@ -166,7 +166,7 @@ class TestBlockKernels:
             assert (ctx.Ttimes[:, :-1] > ctx.times[:-1]).all()
 
     def test_exact_last_passage_deterministic(self):
-        grid = TimeGrid(0.0, 0.05, 20)
+        grid = TimeGrid(0.05, 20)
         rng = np.random.default_rng(5)
         vals = np.cumsum(rng.normal(0.0, 0.2, size=(10, 21)), axis=1)
         a = sc._exact_last_passage(vals, np.zeros(10), grid, seed=9, lo=0)
@@ -272,11 +272,9 @@ class TestReportDeterminism:
 
 
 _STATISTICAL = list(sc._RECORDS)
-# the ids keep their Bessel(3)-kernel suffix, so test ids stay stable
-_STATISTICAL_IDS = [f"{name}-pitman-construction" for name in _STATISTICAL]
 
 
-@pytest.mark.parametrize("scenario", _STATISTICAL, ids=_STATISTICAL_IDS)
+@pytest.mark.parametrize("scenario", _STATISTICAL)
 def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario):
     """Tiles of 11 rows (which divide neither block size) and one tile per
     block, on 1, 2 and 3 threads, give equal entries and verdicts, corrected
@@ -534,7 +532,7 @@ def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, pr
             assert all(e.mean == 0.0 and e.stderr == 0.0 for e in entries)
 
 
-@pytest.mark.parametrize("scenario", _STATISTICAL, ids=_STATISTICAL_IDS)
+@pytest.mark.parametrize("scenario", _STATISTICAL)
 def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario):
     """Corrected and control reports are byte-identical with the per-path draw
     loop and the full-matrix last passage patched in (three blocks, so rows
