@@ -53,8 +53,6 @@ __all__ = [
     "random_piece_system",
 ]
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-
 # Space-damping scale for the after-side candidates: the corrected
 # increments are weighted by min(1, (distance to the singular set / this)^4),
 # a bounded predictable integrand that tames the reciprocal-distance drifts.
@@ -114,6 +112,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"horizon / dt = {self.horizon:g} / {self.dt:g} overflows: too many grid steps"
             )
+        if (steps + 1) * 8 > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"a grid of {steps:g} steps is too large for numpy to index")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigurationError(
                 f"dt = {self.dt} does not divide horizon = {self.horizon}"
@@ -269,17 +269,15 @@ def _exact_last_passage(
     endpoint (the position error is O(dt), far below the window trim).
     """
     f = values - levels[:, None]
-    zero, pos = f == 0.0, f > 0.0
-    flip = zero[:, :-1] | zero[:, 1:] | (pos[:, :-1] != pos[:, 1:])
     ab = f[:, :-1] * f[:, 1:]
-    del f, zero, pos
-    u = _bridge_uniforms(seed, lo, *ab.shape)
+    del f
     # Where f_j*f_{j+1} >= 20 dt the touch probability is below
     # e^-40 < 2^-53 <= u, so only steps nearer the level are tested.
     near = np.flatnonzero(ab < 20.0 * grid.dt)
-    with np.errstate(under="ignore"):
-        p_touch = np.exp(-2.0 * np.maximum(ab.ravel()[near], 0.0) / grid.dt)
-    visit = flip.copy()
+    p_touch = np.exp(-2.0 * np.maximum(ab.ravel()[near], 0.0) / grid.dt)
+    visit = ab <= 0.0  # the flips: a product of nonzero O(1) differences never underflows
+    del ab  # before the uniforms, which then reuse its memory
+    u = _bridge_uniforms(seed, lo, *visit.shape)
     visit.ravel()[near] |= u.ravel()[near] < p_touch
     any_row = visit.any(axis=1)
     k = visit.shape[1] - 1 - np.argmax(visit[:, ::-1], axis=1)
@@ -287,10 +285,9 @@ def _exact_last_passage(
     a_star, b_star = values[rows, k] - levels, values[rows, k + 1] - levels
     times = grid.times()
     t_lo, t_hi = times[k], times[k + 1]
-    is_flip = flip[rows, k]
     inside = t_lo + grid.dt * (-a_star) / np.where(b_star != a_star, b_star - a_star, 1.0)
     interp = np.where(b_star == 0.0, t_hi, np.where(a_star == 0.0, t_lo, inside))
-    out = np.where(is_flip, interp, t_hi)
+    out = np.where(a_star * b_star <= 0.0, interp, t_hi)
     return np.where(any_row, out, 0.0)
 
 
@@ -677,24 +674,28 @@ def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
     return z
 
 
+def _azema_rate_parts(ctx: BlockContext, k, z_of_y):
+    """(dNdW, Z) = (-k(y) sgn(W)/sqrt(1-t), z_of_y(y)), y = |W|/sqrt(1-t), at the
+    left endpoints; k runs before Z's buffers exist, and sgn(W) then overwrites y."""
+    root = np.sqrt(1.0 - ctx.times[:-1])
+    w = ctx.W[:, :-1]
+    y = np.abs(w)
+    y /= root
+    dndw = k(y)
+    np.negative(dndw, out=dndw)
+    z = z_of_y(y)
+    dndw *= np.sign(w, out=y)
+    dndw /= root
+    return dndw, z
+
+
 def _emery_rate_parts(ctx: BlockContext):
     """(dNdW, Z) of the half-terminal last passage at the left endpoints.
 
     Z = 1 - h(|W|/sqrt(1-t)) and dNdW = -h'(|W|/sqrt(1-t)) sgn(W)/sqrt(1-t);
     the kink of |w| at 0 contributes no local time because h'(0) = 0.
     """
-    root = np.sqrt(1.0 - ctx.times[:-1])
-    w = ctx.W[:, :-1]
-    # y = |w|/root, then dndw = -h'(y)*sign(w)/root in place: h' runs before
-    # Z's buffers exist, and sign(w) goes into y once Z has read it
-    y = np.abs(w)
-    y /= root
-    dndw = h_func_prime(y)
-    np.negative(dndw, out=dndw)
-    z = _emery_Z_from_y(y)
-    dndw *= np.sign(w, out=y)
-    dndw /= root
-    return dndw, z
+    return _azema_rate_parts(ctx, h_func_prime, _emery_Z_from_y)
 
 
 def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -734,22 +735,15 @@ def _honest_rate_parts(ctx: BlockContext):
     """
     from scipy.special import erfc
 
-    root = np.sqrt(1.0 - ctx.times[:-1])
-    w = ctx.W[:, :-1]
-    # y = |w|/root, z = erfc(y/sqrt 2), phi = exp(-0.5*y*y)/sqrt(2 pi) and
-    # dndw = -2*phi*sign(w)/root, computed in place
-    y = np.abs(w)
-    y /= root
-    z = np.divide(y, math.sqrt(2.0))
-    erfc(z, out=z)
-    dndw = np.multiply(-0.5, y)
-    dndw *= y
-    np.exp(dndw, out=dndw)
-    dndw /= _SQRT2PI
-    dndw *= -2.0
-    dndw *= np.sign(w, out=y)
-    dndw /= root
-    return dndw, z
+    def two_phi(y):  # 2 exp(-0.5*y*y)/sqrt(2 pi), in place
+        phi = np.multiply(-0.5, y)
+        phi *= y
+        np.exp(phi, out=phi)
+        phi /= math.sqrt(2.0 * math.pi)
+        phi *= 2.0
+        return phi
+
+    return _azema_rate_parts(ctx, two_phi, lambda y: erfc(z := y / math.sqrt(2.0), out=z))
 
 
 def _honest_shared_parts(ctx: BlockContext):

@@ -430,6 +430,27 @@ class TestExitCodes:
         assert "MemoryError" not in captured.err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["--scenario", "bridge", "--dt", "1e-25", "--n-paths", "200"], "1e+25"),
+            (["--scenario", "supremum", "--dt", "1e-25"], "1e+25"),
+            (["--scenario", "pitman", "--horizon", "1e10", "--dt", "1e-10"], "1e+20"),
+        ],
+        ids=["bridge", "supremum", "pitman"],
+    )
+    def test_grid_too_large_for_numpy_exit_two(self, tmp_path, capsys, argv, steps):
+        # a row of more bytes than numpy can index used to end the run in a
+        # ValueError traceback ("Maximum allowed dimension exceeded")
+        from filtralab.cli import main
+
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        want = f"filtralab: a grid of {steps} steps is too large for numpy to index\n"
+        assert captured.out == "" and captured.err == want
+        assert not out.exists()
+
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)
         assert run(cfg) == 0

@@ -92,12 +92,7 @@ class TestDrawRows:
         out = P.draw_rows(np.empty(4), 2, "inf_tail", 10, lambda g, row: g.random(out=row))
         assert list(out) == [substream(2, "inf_tail", 10 + k).uniform() for k in range(4)]
 
-    @pytest.mark.parametrize(
-        "scenario, builder",
-        _BUILDERS,
-        # the ids keep their Bessel(3)-kernel suffix, so test ids stay stable
-        ids=[f"{scenario}-{builder}-pitman-construction" for scenario, builder in _BUILDERS],
-    )
+    @pytest.mark.parametrize("scenario, builder", _BUILDERS)
     def test_block_rows_do_not_depend_on_the_block(self, scenario, builder):
         # rows [2, 5) built alone equal rows 2-4 of the block [0, 10), field by field
         cfg = sc.ScenarioConfig(scenario=scenario, dt=0.05, seed=7)

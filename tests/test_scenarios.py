@@ -342,12 +342,15 @@ def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
 # emery-before 6.46 / 4.02, honest 4.81 / 4.02, emery-after 4.44 / 3.99 and
 # bridge 3.48 / 1.11 (rounded up): pitman must now stay under 3.25, supremum
 # and emery-before a matrix under their old peaks, and nothing above it.
+# Since the last-passage kernel reads its flips from the step products and
+# draws its uniforms once the products are freed, the controls of
+# emery-before, honest and emery-after peak at 3.115, 3.119 and 3.088.
 _TILE_PEAKS = {
     "pitman": (3.25, 3.25),
     "supremum": (6.81, 7.33),
-    "emery-before": (5.41, 4.02),
-    "honest": (4.81, 4.02),
-    "emery-after": (4.44, 3.99),
+    "emery-before": (5.41, 3.12),
+    "honest": (4.81, 3.12),
+    "emery-after": (4.44, 3.09),
     "bridge": (3.48, 1.11),
 }
 
