@@ -27,13 +27,10 @@ __all__ = [
     "LeftIntervalSet",
     "stop",
     "elem_integral",
-    "check_composition",
     "jump_of_integral",
     "union_integral",
     "probe_points",
 ]
-
-_COMPOSITION_REL_TOL = 1e-12  # of check_composition's pointwise comparison
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,6 @@ def probe_points(*objects, extra: Sequence[float] = ()) -> list:
     finite = sorted(p for p in pts if math.isfinite(p))
     mids = [0.5 * (u + v) for u, v in zip(finite, finite[1:]) if v > u]
     return sorted(set(finite) | set(mids))
-
-
-def check_composition(
-    g: LeftStepFunction,
-    h: LeftStepFunction,
-    f: CadlagFunction,
-) -> bool:
-    """True iff g.(h.f) == (g*h).f pointwise on the equality oracle grid."""
-    lhs = elem_integral(g, elem_integral(h, f))
-    rhs = elem_integral(mul_steps(g, h), f)
-    for t in probe_points(g, h, f):
-        if not (f.a < t <= f.b):
-            continue
-        u, v = lhs(t), rhs(t)
-        if abs(u - v) > _COMPOSITION_REL_TOL * max(1.0, abs(u), abs(v)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

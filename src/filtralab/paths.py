@@ -105,22 +105,19 @@ def _bridge_max(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray,
     return _bridge_extremum(x, y, dt, u, np.add, out)
 
 
-def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
     """Exact running-minimum draw of a Bessel(3) bridge from x > 0 to y > 0 over dt.
 
     It is a Brownian bridge conditioned not to hit 0, so with p0 = exp(-2xy/dt)
-    its inverse is the Brownian one with log u read as log(u + p0(1 - u)), and
-    every draw is above 0.  Where xy >= 20 dt, p0 < e^-40 and the Brownian draw
-    is kept: the two laws differ there by less than 5e-18 in total variation.
-    ``out`` may be ``u`` itself: the near cells' uniforms are taken first.
+    its inverse is the Brownian one with u read as u + p0(1 - u), and every
+    draw is above 0.  Where xy >= 20 dt, p0 < e^-40 and the Brownian draw is
+    kept: the two laws differ there by less than 5e-18 in total variation.
+    The draws are written over ``u``, which is returned.
     """
     near = np.nonzero(np.multiply(x, y) < 20.0 * dt)
-    xn, yn, un = x[near], y[near], u[near]
-    out = _bridge_extremum(x, y, dt, u, np.subtract, out)
-    un += np.exp(-2.0 / dt * xn * yn) * (1.0 - un)
-    out[near] = _bridge_extremum(xn, yn, dt, un, np.subtract)
-    return out
+    un = u[near]
+    u[near] = un + np.exp(-2.0 / dt * x[near] * y[near]) * (1.0 - un)
+    return _bridge_extremum(x, y, dt, u, np.subtract, out=u)
 
 
 def pitman_from_draws(r0: float, path: np.ndarray, sup: np.ndarray, dt: float) -> np.ndarray:

@@ -200,6 +200,24 @@ class TestExitCodes:
                 f"{name}: PASS [1 entries, max |z| = 0, threshold 3]\n"
             )
 
+    def test_broken_composition_fails_elemint_check(self, tmp_path, capsys, monkeypatch):
+        # (gh).f off by one part in 1e9 fails the run, and the residual shows
+        # by how much
+        from filtralab import elemint as ei
+
+        mul_steps = ei.mul_steps
+
+        def broken(g, h):
+            gh = mul_steps(g, h)
+            return ei.LeftStepFunction(gh.breakpoints, [1.000000001 * d for d in gh.levels])
+
+        monkeypatch.setattr(ei, "mul_steps", broken)
+        out = tmp_path / "r.csv"
+        assert run(ScenarioConfig(scenario="elemint-check", seed=1, out_path=str(out))) == 1
+        (row,) = csv.DictReader(out.open())
+        assert 1e-12 < float(row["mean"]) < 1e-8 and row["verdict"] == "fail"
+        assert capsys.readouterr().out.startswith("elemint-check: FAIL [1 entries")
+
     def test_statistical_fail_exit_one(self):
         cfg = ScenarioConfig(
             scenario="bridge", dt=0.01, n_paths=4000, seed=2, no_correction=True
@@ -436,8 +454,10 @@ class TestExitCodes:
             (["--scenario", "bridge", "--dt", "1e-25", "--n-paths", "200"], "1e+25"),
             (["--scenario", "supremum", "--dt", "1e-25"], "1e+25"),
             (["--scenario", "pitman", "--horizon", "1e10", "--dt", "1e-10"], "1e+20"),
+            # horizon / dt overflows to inf, which no grid can index either
+            (["--scenario", "pitman", "--horizon", "1e308"], "inf"),
         ],
-        ids=["bridge", "supremum", "pitman"],
+        ids=["bridge", "supremum", "pitman", "pitman-inf"],
     )
     def test_grid_too_large_for_numpy_exit_two(self, tmp_path, capsys, argv, steps):
         # a row of more bytes than numpy can index used to end the run in a

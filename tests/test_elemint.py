@@ -132,18 +132,28 @@ class TestElemIntegral:
         assert ei.jump_of_integral(h, smooth, 1.0) == 0.0
 
 
+def assert_composition(g, h, f):
+    """g.(h.f) = (gh).f at every probe point in (a, b], relative to max(1, |lhs|, |rhs|)."""
+    lhs = ei.elem_integral(g, ei.elem_integral(h, f))
+    rhs = ei.elem_integral(ei.mul_steps(g, h), f)
+    for t in ei.probe_points(g, h, f):
+        if f.a < t <= f.b:
+            u, v = lhs(t), rhs(t)
+            assert abs(u - v) <= 1e-12 * max(1.0, abs(u), abs(v)), t
+
+
 class TestComposition:
     def test_hand_case(self):
         g = ei.LeftStepFunction((0.0, 0.2, 0.7, 1.0), (0.0, 1.0, 0.0))
         h = ei.LeftStepFunction((0.0, 0.5, 0.9, 1.0), (0.0, 1.0, 0.0))
         f = quad_cadlag(0.0, 1.0)
-        assert ei.check_composition(g, h, f)
+        assert_composition(g, h, f)
 
     def test_disjoint_supports(self):
         g = ei.LeftStepFunction((0.0, 0.1, 0.3, 1.0), (0.0, 1.0, 0.0))
         h = ei.LeftStepFunction((0.0, 0.5, 0.9, 1.0), (0.0, 1.0, 0.0))
         f = quad_cadlag(0.0, 1.0, jumps=((0.6, 2.0),))
-        assert ei.check_composition(g, h, f)
+        assert_composition(g, h, f)
         # both sides identically zero
         lhs = ei.elem_integral(g, ei.elem_integral(h, f))
         assert lhs(1.0) == 0.0
@@ -152,7 +162,7 @@ class TestComposition:
         g = ei.LeftStepFunction((0.0, 1.0), (1.0,))
         h = ei.LeftStepFunction((0.0, 0.4, 1.0), (2.0, -1.0))
         f = quad_cadlag(0.0, 1.0, jumps=((0.4, 1.0),))
-        assert ei.check_composition(g, h, f)
+        assert_composition(g, h, f)
 
 
 class TestUnionIntegral:

@@ -24,6 +24,7 @@ from filtralab import paths as P
 from filtralab import scenarios as sc
 from filtralab.rng import PURPOSE, substream
 from oracles import (
+    bridge_min_allocating,
     draw_rows_per_path,
     last_level_crossing,
     pitman_block_allocating,
@@ -189,16 +190,16 @@ class TestSimulateBes3:
         assert np.array_equal(ctx.Ttimes, ttimes)
 
     def test_bridge_min_writes_over_its_uniforms(self):
-        # out may be u itself: the near cells' uniforms are read before any
-        # minimum is written over them
+        # the near cells' uniforms are lifted in place, then one pass writes
+        # every minimum over u: the same bits as the two-pass oracle
         rng = np.random.default_rng(31)
         dt = 1e-2
         x, y = rng.uniform(0.01, 1.0, (2, 20, 50))
         near = x * y < 20.0 * dt
         assert near.any() and not near.all()
         u = 1.0 - rng.random((20, 50))
-        want = P._bridge_min(x, y, dt, u.copy())
-        assert P._bridge_min(x, y, dt, u, out=u) is u
+        want = bridge_min_allocating(x, y, dt, u)
+        assert P._bridge_min(x, y, dt, u) is u
         assert np.array_equal(u, want)
 
     def test_pitman_strictly_positive(self):

@@ -345,9 +345,11 @@ def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
 # Since the last-passage kernel reads its flips from the step products and
 # draws its uniforms once the products are freed, the controls of
 # emery-before, honest and emery-after peak at 3.115, 3.119 and 3.088.
+# The supremum control has peaked at 5.442 since the block kernels drew into
+# their consumers.
 _TILE_PEAKS = {
     "pitman": (3.25, 3.25),
-    "supremum": (6.81, 7.33),
+    "supremum": (6.81, 5.45),
     "emery-before": (5.41, 3.12),
     "honest": (4.81, 3.12),
     "emery-after": (4.44, 3.09),
@@ -515,6 +517,15 @@ def test_record_rules_are_validated(capsys, name):
     else:
         assert f"leaves the {name} correction window empty" in empty
         assert refusal(delta=rec.window_end - 0.01) is None
+
+
+def test_pitman_checkpoints_at_a_small_horizon():
+    # rounded to 12 decimals, the tenths of horizon 1e-12 merged into 8 entries
+    cfg = sc.ScenarioConfig(scenario="pitman", horizon=1e-12, dt=1e-13, n_paths=200, seed=1)
+    res = sc.run_scenario(cfg)
+    assert len(res.report.entries) + len(res.extra_entries) == 29
+    times = sorted({e.t for e in res.extra_entries} - {0.0})
+    assert times == pytest.approx([k * 1e-13 for k in range(1, 11)], rel=1e-9)
 
 
 @pytest.mark.parametrize("name, field, prefix, n_entries",

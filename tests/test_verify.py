@@ -64,7 +64,7 @@ def _acc(values):
     return acc
 
 
-class TestConditionalIncrementStat:
+class TestMomentAccumulatorStats:
     """(mean, stderr, z) of (X_t - X_s) * H_s over paths, as the suite reduces it."""
 
     def test_constant_process(self):
