@@ -1,14 +1,14 @@
 """End-to-end enlargement experiments.
 
-Each statistical scenario simulates an ensemble in path blocks, builds one
-or more candidate martingales (drift-corrected unless the negative control
-is requested), evaluates the functional family at the checkpoints, and
-reduces everything through shard-safe moment accumulators.  Each one is a
+Each statistical scenario simulates an ensemble in row tiles, builds one or
+more candidate martingales (drift-corrected unless the negative control is
+requested), evaluates the functional family at the checkpoints, and reduces
+everything through shard-safe moment accumulators.  Each one is a
 ``Scenario`` record in ``_RECORDS``, built per run, and one driver,
-``_drive``, runs them all, block by block and each block in row tiles on a
-thread pool.  Per-path substreams make every path independent of the tile
-and thread schedule, and the per-path values are summed in fixed blocks of
-``_BLOCK_PATHS`` paths, so a report depends on its config alone.
+``_drive``, runs them all on a thread pool.  Per-path substreams make every
+path independent of the schedule, the grid alone sets a tile's rows, and
+tiles are reduced where they are built and merged in path order, so a
+report depends on its config alone.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -20,6 +20,7 @@ import contextlib
 import ctypes
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -59,16 +60,14 @@ __all__ = [
 _DAMP_SCALE = 0.3
 # The after-side candidates integrate only steps ending by this time.
 _AFTER_CAP = 0.9
-# Bytes of the (paths x grid points) float64 matrices of all tiles in flight;
-# each of a run's threads builds tiles of its share.  Tiles keep peak memory
-# independent of the run's size and of the thread count.
-_TILE_BYTES = 2 << 20
-# Paths per block: each entry's per-path values are summed once per block,
-# so this fixes the order of the sums and with it a report's last bits.
-_BLOCK_PATHS = 8192
-# The smallest share of _TILE_BYTES a thread gets: with half of it, `honest`
-# at dt 5e-4 ran about 14 % slower on two threads, in per-tile overhead.
-_MIN_TILE_BYTES = 1 << 20
+# Bytes of one tile's (paths x grid points) float64 matrices: a tile's rows
+# follow from the grid alone, so a report never depends on the thread count.
+# With tiles of half this size, `honest` at dt 5e-4 ran about 14 % slower on
+# two threads, in per-tile overhead.
+_TILE_BYTES = 1 << 20
+# Threads a run builds its tiles on, at most: the tiles in flight hold
+# _MAX_THREADS * _TILE_BYTES per path matrix.
+_MAX_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -308,17 +307,17 @@ def _base_functionals() -> list:
 
 def _tile_threads() -> int:
     """Threads a run builds its tiles on: the CPUs this process may run on,
-    but no more than keep each thread's tile at ``_MIN_TILE_BYTES``."""
+    but no more than ``_MAX_THREADS``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity interface on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _TILE_BYTES // _MIN_TILE_BYTES))
+    return min(cpus, _MAX_THREADS)
 
 
-def _tile_rows(grid: TimeGrid, threads: int) -> int:
-    """Rows of one thread's tile: its share of ``_TILE_BYTES`` per path matrix."""
-    return max(1, _TILE_BYTES // threads // (8 * (grid.n + 1)))
+def _tile_rows(grid: TimeGrid) -> int:
+    """Rows of one tile: ``_TILE_BYTES`` per path matrix."""
+    return max(1, _TILE_BYTES // (8 * (grid.n + 1)))
 
 
 try:  # glibc's allocator controls; None under another C library
@@ -351,20 +350,20 @@ def _tile_memory_kept():
 
 
 def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
-    """Run every block through every leg of ``rec`` and reduce into one
+    """Run every tile through every leg of ``rec`` and reduce into one
     Bonferroni suite, plus the record's level entries.
 
-    A block of ``_BLOCK_PATHS`` paths is built and tested in tiles, which run
-    on ``_tile_threads()`` threads and share ``_TILE_BYTES`` per path matrix;
+    Tiles of ``_tile_rows(grid)`` paths run on ``_tile_threads()`` threads;
     every kernel works row by row, so a tile's per-path values are those of
-    its rows in the whole block.  They go into one buffer per entry, reduced
-    once per block, in key order, after all its tiles.  The next tile reuses
-    a tile's freed memory (``_tile_memory_kept``).  Candidates,
-    functionals and levels see a tile up to the last column any of them
-    reads; no entry reads a later one.  A run with no suite entry is refused.
-    A block builder wrapped from outside (it carries ``__wrapped__``, as
-    ``functools.wraps`` and the benchmark's trace leave it) runs its tiles on
-    one thread: the wrapper need not be thread-safe.
+    its rows in the whole ensemble.  A tile reduces them as one (entries x
+    rows) matrix, and this thread merges the tiles in path order, with at
+    most two a thread submitted and not merged.  The next tile reuses a
+    tile's freed memory (``_tile_memory_kept``).  Candidates, functionals
+    and levels see a tile up to the last column any of them reads.  A run
+    with no suite entry, or with a non-finite one, is refused.  A block
+    builder wrapped from outside (it carries ``__wrapped__``, as
+    ``functools.wraps`` and the benchmark's trace leave it) runs its tiles
+    on one thread: the wrapper need not be thread-safe.
     """
     grid = cfg.grid()
     legs = [
@@ -373,13 +372,10 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
                          for s, t in leg.checkpoints])
         for leg in rec.legs
     ]
-    accs = {key: MomentAccumulator() for _, idx in legs for *_, fs in idx for key, _ in fs}
-    if not accs:
+    keys = [key for _, idx in legs for *_, fs in idx for key, _ in fs]
+    if not keys:
         raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
-    levels = {} if rec.levels is None or cfg.no_correction else {
-        t: MomentAccumulator() for t in rec.levels.times
-    }
-    sinks = accs | levels  # suite keys are tuples, level keys times
+    level_times = () if rec.levels is None or cfg.no_correction else rec.levels.times
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
     if rec.special:
         # Imported on this thread before the tiles start: a first import
@@ -389,35 +385,44 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
         # import against 68.6 / 69.6 / 68.8 MiB with it, lower in 3 of 3.
         import scipy.special  # noqa: F401
     threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
-    rows = _tile_rows(grid, threads)
+    rows = _tile_rows(grid)
+
+    def run_tile(lo: int) -> MomentAccumulator:
+        ctx = rec.block(cfg, grid, lo, min(lo + rows, cfg.n_paths)).head(last)
+        vals = np.empty((len(keys) + len(level_times), ctx.W.shape[0]))
+        out = iter(vals)
+        for candidate, idx in legs:
+            x = candidate(cfg, ctx)
+            for si, ti, fs in idx:
+                inc = x[:, ti] - x[:, si]
+                for _, f in fs:
+                    np.multiply(inc, f.values(ctx, si), out=next(out))
+            del x  # the next candidate is built without this one alive
+        for t in level_times:
+            next(out)[:] = rec.levels.values(ctx, grid.index_of(t))
+        acc = MomentAccumulator()
+        acc.add(vals)
+        return acc
+
+    total, pending = MomentAccumulator(), deque()
     with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
-        for lo in range(0, cfg.n_paths, _BLOCK_PATHS):
-            hi = min(lo + _BLOCK_PATHS, cfg.n_paths)
-            vals = {key: np.empty(hi - lo) for key in sinks}
-
-            def run_tile(a: int, b: int) -> None:
-                tile = slice(a - lo, b - lo)
-                ctx = rec.block(cfg, grid, a, b).head(last)
-                for candidate, idx in legs:
-                    x = candidate(cfg, ctx)
-                    for si, ti, fs in idx:
-                        inc = x[:, ti] - x[:, si]
-                        for key, f in fs:
-                            np.multiply(inc, f.values(ctx, si), out=vals[key][tile])
-                    del x  # the next candidate is built without this one alive
-                for t in levels:
-                    vals[t][tile] = rec.levels.values(ctx, grid.index_of(t))
-
-            starts = range(lo, hi, rows)
-            for _ in pool.map(run_tile, starts, [min(a + rows, hi) for a in starts]):
-                pass  # reading each result re-raises a tile's error
-            for key, acc in sinks.items():
-                acc.add(vals[key])
+        for lo in range(0, cfg.n_paths, rows):
+            if len(pending) == 2 * threads:
+                total = total.merge(pending.popleft().result())  # re-raises a tile's error
+            pending.append(pool.submit(run_tile, lo))
+        while pending:
+            total = total.merge(pending.popleft().result())
+    names = keys + [(0.0, t, rec.levels.id) for t in level_times]
+    bad = np.flatnonzero(~np.isfinite([total.mean, total.m2]).all(axis=0))
+    for s, t, fid in [names[i] for i in bad[:1]]:
+        raise ConfigurationError(f"entry ({s:g}, {t:g}, {fid}): its mean or stderr is not finite")
+    accs = [MomentAccumulator(total.n, float(m), float(m2)) for m, m2 in zip(total.mean, total.m2)]
     extra = []
-    for t, acc in sorted(levels.items()):
+    for t, acc in zip(level_times, accs[len(keys):]):
         mean, stderr, z = acc.stats()
         extra.append(SuiteEntry(0.0, t, rec.levels.id, mean, stderr, z, acc.n, abs(z) <= 3.0))
-    return ScenarioResult(cfg.scenario, martingale_suite(accs, cfg.threshold), tuple(extra))
+    suite = martingale_suite(dict(zip(keys, accs)), cfg.threshold)
+    return ScenarioResult(cfg.scenario, suite, tuple(extra))
 
 
 def _chain(*pts) -> tuple:

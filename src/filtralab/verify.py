@@ -6,8 +6,8 @@ time-s information.  The suite evaluates this across a checkpoint grid and
 a functional family, with Bonferroni control across entries.
 
 Aggregation is associative over path shards: every statistic reduces to
-(count, sum, sum of squares), so sharded and whole-ensemble runs agree up
-to rounding.
+(count, mean, sum of squared deviations), merged by the Chan-Golub-LeVeque
+update, so sharded and whole-ensemble runs agree up to rounding.
 """
 
 from __future__ import annotations
@@ -62,38 +62,39 @@ class TestFunctional:
         if -1.0 <= lo and hi <= 1.0:
             return v
         if lo < -1.0 - _BOUND_TOL or hi > 1.0 + _BOUND_TOL:
-            raise ConfigurationError(
-                f"functional {self.id!r} exceeds the unit bound"
-            )
+            raise ConfigurationError(f"functional {self.id!r} exceeds the unit bound")
         return np.clip(v, -1.0, 1.0)  # NaN, or values within the tolerance
 
 
 @dataclass
 class MomentAccumulator:
-    """Associative (n, sum, sum of squares) reduction of one statistic."""
+    """(n, mean, sum of squared deviations) of one statistic, or of one per row."""
 
     n: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")  # a run refuses what overflows
     def add(self, values: np.ndarray) -> None:
+        """Fold in values along their last axis: the mean, then squared deviations."""
         v = np.asarray(values, dtype=float)
-        self.n += v.size
-        self.total += float(v.sum())
-        self.total_sq += float((v * v).sum())
+        mean = v.mean(axis=-1, keepdims=True)
+        shard = MomentAccumulator(v.shape[-1], mean[..., 0], np.square(v - mean).sum(axis=-1))
+        vars(self).update(vars(self.merge(shard)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        return MomentAccumulator(
-            self.n + other.n, self.total + other.total, self.total_sq + other.total_sq
-        )
+        """Chan, Golub and LeVeque's update (Am. Statistician 37(3), 1983)."""
+        n, delta = self.n + other.n, other.mean - self.mean
+        m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
+        return MomentAccumulator(n, self.mean + delta * (other.n / n), m2)
 
     def stats(self) -> tuple:
         """(mean, stderr, z); z = 0 when the statistic is degenerate at 0."""
         if self.n < 100:
             raise InsufficientSampleError(f"need at least 100 samples, got {self.n}")
-        mean = self.total / self.n
-        var = max(self.total_sq / self.n - mean * mean, 0.0) * self.n / (self.n - 1)
-        stderr = math.sqrt(var / self.n)
+        mean = float(self.mean)
+        stderr = math.sqrt(self.m2 / (self.n - 1) / self.n)
         if stderr > 0.0:
             z = mean / stderr
         else:

@@ -202,7 +202,7 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     grid = cfg.grid()
     ti = grid.index_of(t_check)
     threads = scenarios._tile_threads()
-    rows = scenarios._tile_rows(grid, threads)  # a run's tiles
+    rows = scenarios._tile_rows(grid)  # a run's tiles
 
     def tile(lo):
         ctx = _emery_block(cfg, grid, lo, min(lo + rows, cfg.n_paths))

@@ -338,7 +338,7 @@ def test_criterion_9_after_drift_integrable():
     t_left = grid.times()[:-1]
     worst = 0.0
     n_done = 0
-    tile = _tile_rows(grid, 1)  # one thread's tile of a run
+    tile = _tile_rows(grid)  # a run's tile
     for lo in range(0, cfg.n_paths, tile):
         hi = min(lo + tile, cfg.n_paths)
         ctx = _emery_block(cfg, grid, lo, hi)

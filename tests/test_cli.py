@@ -471,6 +471,33 @@ class TestExitCodes:
         assert captured.out == "" and captured.err == want
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", ["1e150", "1e152", "1e155", "1e160", "1e300"])
+    def test_statistic_beyond_float64_exit_two(self, tmp_path, capsys, horizon):
+        # at dt = delta = horizon/5 the squared increments overflow from about
+        # 1e155: that ended in a vacuous PASS (stderr inf, z 0) or in a FAIL
+        # printing nan, with numpy's overflow warning on stderr
+        import warnings
+
+        from filtralab.cli import main
+
+        step = repr(float(horizon) / 5)
+        out = tmp_path / "r.csv"
+        argv = ["--scenario", "supremum", "--horizon", horizon, "--dt", step, "--delta", step,
+                "--n-paths", "200", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert caught == []
+        if float(horizon) < 1e155:
+            assert code == 0 and captured.err == "" and out.exists()
+            return
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"filtralab: config error: entry ({float(step):g}, {2 * float(step):g}, "
+            "recfree): its mean or stderr is not finite\n"
+        )
+
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)
         assert run(cfg) == 0

@@ -259,11 +259,11 @@ class TestReportDeterminism:
         for ea, eb in zip(a.report.entries, b.report.entries):
             assert ea == eb
 
-    def test_block_size_does_not_change_counts(self, monkeypatch):
+    def test_tile_size_does_not_change_counts(self, monkeypatch):
         cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=600, seed=13)
-        monkeypatch.setattr(sc, "_BLOCK_PATHS", 100)
+        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 100)  # dt 1e-2: 101 points
         a = sc.run_scenario(cfg)
-        monkeypatch.setattr(sc, "_BLOCK_PATHS", 600)
+        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 600)
         b = sc.run_scenario(cfg)
         for ea, eb in zip(a.report.entries, b.report.entries):
             assert ea.n_paths == eb.n_paths
@@ -276,34 +276,55 @@ _STATISTICAL = list(sc._RECORDS)
 
 @pytest.mark.parametrize("scenario", _STATISTICAL)
 def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario):
-    """Tiles of 11 rows (which divide neither block size) and one tile per
-    block, on 1, 2 and 3 threads, give equal entries and verdicts, corrected
-    and control, at ``_BLOCK_PATHS`` 100 and 777: each block reduces the same
-    per-path vector, in the same order."""
+    """A report does not depend on how its tiles are scheduled: tiles of 11
+    rows (which do not divide the run), and one tile a run, give equal
+    entries and verdicts on 1, 2 and 3 threads, corrected and control; each
+    tile reduces the same per-path values, and the tiles merge in path
+    order."""
 
     def runs(threads, tile_rows):
         monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
-        # dt 1e-2: 101 points; each thread's tile gets a 1/threads share
-        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows * threads)
+        monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows)  # dt 1e-2: 101 points
         out = []
         for control in (False, True):
-            for block_paths in (100, 777):
-                monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
-                run = sc.run_scenario(sc.ScenarioConfig(
-                    scenario=scenario, dt=1e-2, n_paths=1000, seed=4,
-                    no_correction=control))
-                out.append((run.report.verdict, run.passed, [
-                    (e.s, e.t, e.functional, e.mean, e.stderr, e.z, e.n_paths, e.passed)
-                    for e in run.report.entries + run.extra_entries
-                ]))
+            run = sc.run_scenario(sc.ScenarioConfig(
+                scenario=scenario, dt=1e-2, n_paths=1000, seed=4, no_correction=control))
+            out.append((run.report.verdict, run.passed, [
+                (e.s, e.t, e.functional, e.mean, e.stderr, e.z, e.n_paths, e.passed)
+                for e in run.report.entries + run.extra_entries
+            ]))
         return out
 
-    whole = runs(1, 1000)
-    assert len(whole[0][2]) >= 16
-    for threads in (1, 2, 3):
-        assert runs(threads, 11) == whole
-    for threads in (2, 3):
-        assert runs(threads, 1000) == whole
+    for tile_rows in (11, 1000):
+        one = runs(1, tile_rows)
+        assert len(one[0][2]) >= 16
+        for threads in (2, 3):
+            assert runs(threads, tile_rows) == one
+
+
+def test_tiles_in_flight_are_bounded(monkeypatch):
+    """At most two tiles a thread are submitted and not yet merged: while the
+    tile at lo = 0 is held, 2 threads start at most 2 x 2 + 1 of the 182
+    tiles of 11 rows, so memory does not grow with the path count."""
+    import threading
+
+    started, held, release = [], [], threading.Event()
+
+    def block(cfg, grid, lo, hi):
+        started.append(lo)
+        if len(started) > 2 * 2 + 1:
+            release.set()  # past the bound: no need to wait any longer
+        if lo == 0:
+            release.wait(timeout=1.0)
+            held.append(len(started))
+        return sc._bridge_block(cfg, grid, lo, hi)
+
+    monkeypatch.setattr(sc, "_tile_threads", lambda: 2)
+    monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11)  # dt 1e-2: 101 points
+    cfg = sc.ScenarioConfig(scenario="bridge", dt=1e-2, n_paths=2000, seed=1)
+    sc._drive(cfg, sc._RECORDS["bridge"](cfg)._replace(block=block))
+    assert held[0] <= 2 * 2 + 1
+    assert sorted(started) == list(range(0, 2000, 11))
 
 
 def _traced_peak(cfg) -> int:
@@ -319,21 +340,23 @@ def _traced_peak(cfg) -> int:
 
 @pytest.mark.parametrize("scenario", list(sc._RECORDS))
 def test_peak_memory_does_not_grow_with_block_size(monkeypatch, scenario):
-    # blocks are built in tiles, so the traced peak is set by the tile, not
-    # by _BLOCK_PATHS (a whole block of 6 000 paths would be 3x the peak of
-    # blocks of 2 048); the tiles in flight share one budget, so more
-    # threads do not mean more memory (a full budget per thread would double
-    # the peak at 2).  The block-size case runs on one thread: with more,
-    # the peak depends on how the tiles in flight happen to overlap.
-    def peak(block_paths, threads):
-        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
-        monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
-        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=6000, seed=2))
+    # each block a builder builds is one tile, reduced where it is built, so
+    # the traced peak is set by the tile, not by the path count (a whole run
+    # of 6 000 paths would be 3x the peak of 2 048); the tiles in flight on 2
+    # threads hold no more than one thread's tile of _TILE_BYTES x
+    # _MAX_THREADS.  The path-count case runs on one thread: with more, the
+    # peak depends on how the tiles in flight happen to overlap.
+    tile_bytes = sc._TILE_BYTES
 
-    one = peak(8192, 1)
-    assert one <= 1.25 * peak(2048, 1)
-    assert peak(8192, 2) <= 1.25 * one
-    assert peak(8192, 3) <= 1.25 * one
+    def peak(n_paths, threads, tiles=1):
+        monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
+        monkeypatch.setattr(sc, "_TILE_BYTES", tile_bytes * tiles)
+        return _traced_peak(sc.ScenarioConfig(scenario=scenario, dt=1e-3, n_paths=n_paths, seed=2))
+
+    assert peak(6000, 1) <= 1.25 * peak(2048, 1)
+    budget = peak(6000, 1, tiles=sc._MAX_THREADS)
+    for threads in (1, 2):
+        assert peak(6000, threads) <= 1.25 * budget
 
 
 # Ceilings of one tile's traced peak, in path matrices, as (corrected,
@@ -360,15 +383,18 @@ _TILE_PEAKS = {
 @pytest.mark.parametrize("control", [False, True], ids=["corrected", "control"])
 @pytest.mark.parametrize("scenario", list(_TILE_PEAKS))
 def test_tile_peak_in_path_matrices(monkeypatch, scenario, control):
-    """The traced peak of a run of one tile on one thread (its block and
-    every leg, as ``_drive`` runs them) at dt 1e-3, in path matrices of
-    rows x (n + 1) float64s; a first run keeps one-time imports out of it."""
+    """The traced peak of a run of one tile of 261 rows on one thread (its
+    block and every leg, as ``_drive`` runs them) at dt 1e-3, in path
+    matrices of rows x (n + 1) float64s; a first run keeps one-time imports
+    out of it."""
     import tracemalloc
 
     assert set(_TILE_PEAKS) == set(sc._RECORDS)
     monkeypatch.setattr(sc, "_tile_threads", lambda: 1)
+    monkeypatch.setattr(sc, "_TILE_BYTES", 2 << 20)
     cfg = sc.ScenarioConfig(scenario=scenario, dt=1e-3, seed=3, no_correction=control)
-    rows = sc._tile_rows(cfg.grid(), 1)
+    rows = sc._tile_rows(cfg.grid())
+    assert rows == 261
     cfg = replace(cfg, n_paths=rows)
     sc.run_scenario(cfg)
     tracemalloc.start()
@@ -383,14 +409,13 @@ def test_tile_peak_in_path_matrices(monkeypatch, scenario, control):
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 2), (64, 2)])
 def test_tile_threads_keep_the_smallest_measured_tile(monkeypatch, cpus, threads):
     # one thread per CPU of the affinity mask, or of os.cpu_count() without
-    # one, but never so many that a thread's tile drops below _MIN_TILE_BYTES
-    # (1 MiB)
+    # one, but no more than _MAX_THREADS (2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert sc._tile_threads() == threads
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sc._tile_threads() == threads
-    assert sc._TILE_BYTES // threads >= sc._MIN_TILE_BYTES
+    assert threads == min(cpus, sc._MAX_THREADS)
 
 
 @pytest.mark.skipif(sc._LIBC is None, reason="the C library has no mallopt (not glibc)")
@@ -465,7 +490,7 @@ class TestDrive:
         outcomes = []
         for threads in (1, 3):
             monkeypatch.setattr(sc, "_tile_threads", lambda: threads)
-            monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11 * threads)  # 11 rows a tile
+            monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11)  # 11 rows a tile
             with pytest.raises(ConfigurationError) as err:
                 sc.run_scenario(cfg)
             code = main(["--scenario", "bridge", "--dt", "0.01", "--n-paths", "1000"])
@@ -538,8 +563,8 @@ def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, pr
     tau = getattr(ctx, field)
     assert np.mean(np.isin(tau, ctx.times)) > 0.4
     for control in (False, True):
-        for block_paths in (100, 8192):
-            monkeypatch.setattr(sc, "_BLOCK_PATHS", block_paths)
+        for tile_rows in (100, 1297):  # 1 297: the default tile at dt 1e-2
+            monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * tile_rows)
             run = sc.run_scenario(replace(cfg, no_correction=control))
             entries = [e for e in run.report.entries if e.functional == f"{prefix}1[{field}<=s]"]
             assert len(entries) == n_entries
@@ -549,7 +574,7 @@ def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, pr
 @pytest.mark.parametrize("scenario", _STATISTICAL)
 def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario):
     """Corrected and control reports are byte-identical with the per-path draw
-    loop and the full-matrix last passage patched in (three blocks, so rows
+    loop and the full-matrix last passage patched in (three tiles, so rows
     are re-keyed from lo = 0, 128 and 256)."""
 
     def reports(tag):
@@ -562,7 +587,7 @@ def test_reports_match_plain_oracles(tmp_path, monkeypatch, scenario):
             out.append(path.read_bytes())
         return out
 
-    monkeypatch.setattr(sc, "_BLOCK_PATHS", 128)
+    monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 128)  # dt 1e-2: 101 points
     fast = reports("fast")
     monkeypatch.setattr(sc, "draw_rows", draw_rows_per_path)
     monkeypatch.setattr(P, "draw_rows", draw_rows_per_path)
@@ -628,7 +653,7 @@ def test_traced_runs_tile_on_one_thread(monkeypatch):
     span then lies within its parent's."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     monkeypatch.setattr(sc, "_tile_threads", lambda: 3)
-    monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 11 * 3)  # 33-row tiles on one thread
+    monkeypatch.setattr(sc, "_TILE_BYTES", 8 * 101 * 33)  # 33-row tiles
     tracer = importlib.import_module("layertrace").Tracer()
     tracer.install()
     try:

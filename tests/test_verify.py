@@ -50,6 +50,20 @@ class TestMomentAccumulator:
         assert m1 == pytest.approx(m2, abs=1e-12)
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+    def test_large_offset_keeps_the_variance(self):
+        # 1e9 + N(0, 1): E[x^2] - mean^2 cancels every digit of the variance
+        # (it read stderr 0.16 whole and 0, z inf, over the shards); the mean
+        # and the squared deviations from it keep them
+        rng = np.random.default_rng(6)
+        x = 1e9 + rng.normal(size=10_000)
+        want = x.std(ddof=1) / math.sqrt(len(x))
+        sharded = MomentAccumulator()
+        for part in np.array_split(x, 7):
+            sharded = sharded.merge(_acc(part))
+        for acc in (_acc(x), sharded):
+            _, stderr, _ = acc.stats()
+            assert stderr == pytest.approx(want, rel=1e-8)
+
     def test_reorder_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=5000)
