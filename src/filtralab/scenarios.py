@@ -5,10 +5,10 @@ more candidate martingales (drift-corrected unless the negative control is
 requested), evaluates the functional family at the checkpoints, and reduces
 everything through shard-safe moment accumulators.  Each one is a
 ``Scenario`` record in ``_RECORDS``, built per run, and one driver,
-``_drive``, runs them all on a thread pool.  Per-path substreams make every
-path independent of the schedule, the grid alone sets a tile's rows, and
-tiles are reduced where they are built and merged in path order, so a
-report depends on its config alone.
+``_drive``, runs them all through one tile map, ``_map_tiles``.  Per-path
+substreams make every path independent of the schedule, the grid alone
+sets a tile's rows, and tiles are reduced where they are built and merged
+in path order, so a report depends on its config alone.
 
 Scenario names: bridge, supremum, emery-before, emery-after, honest,
 pitman, glue-demo, elemint-check.
@@ -349,21 +349,42 @@ def _tile_memory_kept():
         _LIBC.malloc_trim(0)
 
 
-def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
-    """Run every tile through every leg of ``rec`` and reduce into one
-    Bonferroni suite, plus the record's level entries.
+def _map_tiles(cfg: ScenarioConfig, block: Callable, fn: Callable):
+    """Yield ``fn(block(cfg, grid, lo, hi))`` for each tile [lo, hi) of the
+    run's paths, in path order, and re-raise a tile's error when it is due.
 
-    Tiles of ``_tile_rows(grid)`` paths run on ``_tile_threads()`` threads;
-    every kernel works row by row, so a tile's per-path values are those of
-    its rows in the whole ensemble.  A tile reduces them as one (entries x
-    rows) matrix, and this thread merges the tiles in path order, with at
-    most two a thread submitted and not merged.  The next tile reuses a
-    tile's freed memory (``_tile_memory_kept``).  Candidates, functionals
-    and levels see a tile up to the last column any of them reads.  A run
-    with no suite entry, or with a non-finite one, is refused.  A block
-    builder wrapped from outside (it carries ``__wrapped__``, as
-    ``functools.wraps`` and the benchmark's trace leave it) runs its tiles
-    on one thread: the wrapper need not be thread-safe.
+    Tiles of ``_tile_rows(grid)`` paths run on ``_tile_threads()`` threads,
+    at most two a thread submitted and not yet consumed, and reuse each
+    other's freed memory (``_tile_memory_kept``).  A block builder wrapped
+    from outside (``__wrapped__``, as ``functools.wraps`` and the benchmark's
+    trace leave it) runs on one thread: the wrapper need not be thread-safe.
+    """
+    grid = cfg.grid()
+    rows = _tile_rows(grid)
+    threads = 1 if hasattr(block, "__wrapped__") else _tile_threads()
+
+    def tile(lo: int):
+        return fn(block(cfg, grid, lo, min(lo + rows, cfg.n_paths)))
+
+    pending = deque()
+    with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
+        for lo in range(0, cfg.n_paths, rows):
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()  # re-raises a tile's error
+            pending.append(pool.submit(tile, lo))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
+    """Run every tile through every leg of ``rec`` and judge one Bonferroni
+    suite, plus the record's level entries.
+
+    Kernels work row by row, so a tile's per-path values are those of its
+    rows in the whole ensemble; a tile, cut to the last column a leg or
+    level reads, reduces them as one (entries x rows) matrix, and the merged
+    tiles give every entry at once.  A run with no suite entry, a non-finite
+    entry, or no suite entry with stderr > 0 (it tests nothing) is refused.
     """
     grid = cfg.grid()
     legs = [
@@ -376,20 +397,17 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     if not keys:
         raise ConfigurationError(f"the {cfg.scenario} run gathered no suite entries")
     level_times = () if rec.levels is None or cfg.no_correction else rec.levels.times
+    names = keys + [(0.0, t, rec.levels.id) for t in level_times]
     last = max((grid.index_of(t) for t in rec.times()), default=grid.n)
     if rec.special:
-        # Imported on this thread before the tiles start: a first import
-        # inside a tile thread leaves its memory in that thread's arena.
-        # Measured on a 2-core box, 10 s benchmark runs of honest-dense in
-        # alternating pairs: peak RSS 70.5 / 72.3 / 70.4 MiB without this
-        # import against 68.6 / 69.6 / 68.8 MiB with it, lower in 3 of 3.
+        # Imported here before the tiles start: a first import in a tile thread
+        # leaves its memory in that thread's arena (honest-dense, 2-core box,
+        # alternating 10 s runs: peak RSS 68.6-69.6 MiB with, 70.4-72.3 without).
         import scipy.special  # noqa: F401
-    threads = 1 if hasattr(rec.block, "__wrapped__") else _tile_threads()
-    rows = _tile_rows(grid)
 
-    def run_tile(lo: int) -> MomentAccumulator:
-        ctx = rec.block(cfg, grid, lo, min(lo + rows, cfg.n_paths)).head(last)
-        vals = np.empty((len(keys) + len(level_times), ctx.W.shape[0]))
+    def reduce_tile(ctx: BlockContext) -> MomentAccumulator:
+        ctx = ctx.head(last)
+        vals = np.empty((len(names), ctx.W.shape[0]))
         out = iter(vals)
         for candidate, idx in legs:
             x = candidate(cfg, ctx)
@@ -404,25 +422,20 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
         acc.add(vals)
         return acc
 
-    total, pending = MomentAccumulator(), deque()
-    with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
-        for lo in range(0, cfg.n_paths, rows):
-            if len(pending) == 2 * threads:
-                total = total.merge(pending.popleft().result())  # re-raises a tile's error
-            pending.append(pool.submit(run_tile, lo))
-        while pending:
-            total = total.merge(pending.popleft().result())
-    names = keys + [(0.0, t, rec.levels.id) for t in level_times]
-    bad = np.flatnonzero(~np.isfinite([total.mean, total.m2]).all(axis=0))
-    for s, t, fid in [names[i] for i in bad[:1]]:
-        raise ConfigurationError(f"entry ({s:g}, {t:g}, {fid}): its mean or stderr is not finite")
-    accs = [MomentAccumulator(total.n, float(m), float(m2)) for m, m2 in zip(total.mean, total.m2)]
-    extra = []
-    for t, acc in zip(level_times, accs[len(keys):]):
-        mean, stderr, z = acc.stats()
-        extra.append(SuiteEntry(0.0, t, rec.levels.id, mean, stderr, z, acc.n, abs(z) <= 3.0))
-    suite = martingale_suite(dict(zip(keys, accs)), cfg.threshold)
-    return ScenarioResult(cfg.scenario, suite, tuple(extra))
+    total = MomentAccumulator()
+    for acc in _map_tiles(cfg, rec.block, reduce_tile):
+        total = total.merge(acc)
+    mean, stderr, z = (v.tolist() for v in total.stats())
+    for (s, t, fid), m, e in zip(names, mean, stderr):
+        if not (math.isfinite(m) and math.isfinite(e)):
+            raise ConfigurationError(
+                f"entry ({s:g}, {t:g}, {fid}): its mean or stderr is not finite")
+    if not any(e > 0.0 for e in stderr[:len(keys)]):
+        raise ConfigurationError(f"the {cfg.scenario} run tests nothing: every suite stderr is 0")
+    entries = [SuiteEntry(*name, m, e, q, total.n, abs(q) <= 3.0)
+               for name, m, e, q in zip(names, mean, stderr, z)]
+    suite = martingale_suite(entries[:len(keys)], cfg.threshold)
+    return ScenarioResult(cfg.scenario, suite, tuple(entries[len(keys):]))
 
 
 def _chain(*pts) -> tuple:
@@ -879,7 +892,7 @@ def _identity_result(
 ) -> ScenarioResult:
     """One entry holding the worst error of n_cases exact-identity checks."""
     entry = SuiteEntry(0.0, 0.0, functional, worst, 0.0, 0.0, n_cases, worst <= 1e-12)
-    return ScenarioResult(name, martingale_suite({}, cfg.threshold), (entry,))
+    return ScenarioResult(name, martingale_suite([], cfg.threshold), (entry,))
 
 
 def run_glue_demo(cfg: ScenarioConfig) -> ScenarioResult:

@@ -13,7 +13,7 @@ update, so sharded and whole-ensemble runs agree up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Callable
 
@@ -90,16 +90,14 @@ class MomentAccumulator:
         return MomentAccumulator(n, self.mean + delta * (other.n / n), m2)
 
     def stats(self) -> tuple:
-        """(mean, stderr, z); z = 0 when the statistic is degenerate at 0."""
+        """(mean, stderr, z), elementwise on a vector accumulator; z = 0 where a
+        statistic is degenerate at 0, and +inf where it is degenerate elsewhere."""
         if self.n < 100:
             raise InsufficientSampleError(f"need at least 100 samples, got {self.n}")
-        mean = float(self.mean)
-        stderr = math.sqrt(self.m2 / (self.n - 1) / self.n)
-        if stderr > 0.0:
-            z = mean / stderr
-        else:
-            z = 0.0 if mean == 0.0 else math.inf
-        return mean, stderr, z
+        stderr = np.sqrt(self.m2 / (self.n - 1) / self.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(stderr > 0.0, self.mean / stderr, np.where(self.mean == 0.0, 0.0, np.inf))
+        return self.mean, stderr, z[()]  # a 0-d z comes back as a scalar
 
 
 @dataclass(frozen=True)
@@ -148,26 +146,15 @@ def bonferroni_threshold(nominal_z: float, n_entries: int) -> float:
     return math.inf if tail == 0.0 else -_STD_NORMAL.inv_cdf(tail)
 
 
-def martingale_suite(accumulators: dict, threshold: float = 3.0) -> MartingaleTestReport:
-    """Assemble a Bonferroni-corrected report from per-(s, t, functional) accumulators.
-
-    ``accumulators`` maps (s, t, functional_id) -> MomentAccumulator.  An
-    empty mapping yields a vacuous pass, flagged as such.
-    """
-    keys = sorted(accumulators.keys())
-    per_entry = bonferroni_threshold(threshold, len(keys))
-    entries = []
-    all_pass = True
-    for s, t, fid in keys:
-        mean, stderr, z = accumulators[(s, t, fid)].stats()
-        ok = abs(z) <= per_entry
-        all_pass &= ok
-        entries.append(
-            SuiteEntry(s, t, fid, mean, stderr, z, accumulators[(s, t, fid)].n, ok)
-        )
+def martingale_suite(entries: list, threshold: float = 3.0) -> MartingaleTestReport:
+    """Judge suite rows at the Bonferroni threshold of ``threshold`` and sort them
+    by (s, t, functional); no rows give a vacuous pass, flagged as such."""
+    per_entry = bonferroni_threshold(threshold, len(entries))
+    judged = sorted((replace(e, passed=abs(e.z) <= per_entry) for e in entries),
+                    key=lambda e: (e.s, e.t, e.functional))
     return MartingaleTestReport(
-        entries=tuple(entries),
+        entries=tuple(judged),
         per_entry_threshold=per_entry,
-        verdict="pass" if all_pass else "fail",
-        vacuous=not keys,
+        verdict="pass" if all(e.passed for e in judged) else "fail",
+        vacuous=not judged,
     )

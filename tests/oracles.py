@@ -5,7 +5,8 @@ only they would call: ``last_level_crossing`` is the per-path reference for
 the block last-passage kernel, reading its grid times through
 ``TimeGrid.times`` and ``TimeGrid.index_of``; ``future_inf_piece_system``
 feeds one Bessel path with its future infimum to the gluing algorithm, and
-``emery_conditional_law_rows`` bins the simulated last passage against its
+``emery_conditional_law_rows`` bins the simulated last passage, tiled
+through the driver's tile map (``scenarios._map_tiles``), against its
 Azema supermartingale, as the run path evaluates it
 (``scenarios._emery_Z_from_y``).  ``elem_integral_per_piece`` is the
 elementary integral summed piece by piece, f evaluated at both ends of
@@ -21,7 +22,6 @@ that consume their draws; the in-place blocks must equal them bit for bit.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -199,17 +199,12 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     Returns (mean absolute error, rows); the Azema supermartingale is the
     predicted conditional survival probability of the last-passage time.
     """
-    grid = cfg.grid()
-    ti = grid.index_of(t_check)
-    threads = scenarios._tile_threads()
-    rows = scenarios._tile_rows(grid)  # a run's tiles
+    ti = cfg.grid().index_of(t_check)
 
-    def tile(lo):
-        ctx = _emery_block(cfg, grid, lo, min(lo + rows, cfg.n_paths))
+    def tile(ctx):
         return np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check), ctx.xi > t_check
 
-    with ThreadPoolExecutor(threads) as pool:
-        ys, alive = zip(*pool.map(tile, range(0, cfg.n_paths, rows)))
+    ys, alive = zip(*scenarios._map_tiles(cfg, _emery_block, tile))  # a run's tiles
     y = np.concatenate(ys)
     a = np.concatenate(alive)
     edges = np.quantile(y, np.linspace(0.0, 1.0, bins + 1))

@@ -18,7 +18,7 @@ from filtralab.paths import reciprocal_scale
 from filtralab.scenarios import ScenarioConfig, random_piece_system, run_scenario
 from filtralab.drifts import emery_after_rate
 from filtralab.scenarios import Leg, Scenario, _base_functionals, _bridge_block, _drive
-from filtralab.scenarios import _emery_block, _pitman_block, _tile_rows
+from filtralab.scenarios import _emery_block, _map_tiles, _pitman_block
 from oracles import emery_conditional_law_rows, future_inf_piece_system
 
 
@@ -336,12 +336,8 @@ def test_criterion_9_after_drift_integrable():
     cfg = ScenarioConfig(scenario="emery-after", dt=1e-3, n_paths=10_000, seed=3)
     grid = cfg.grid()
     t_left = grid.times()[:-1]
-    worst = 0.0
-    n_done = 0
-    tile = _tile_rows(grid)  # a run's tile
-    for lo in range(0, cfg.n_paths, tile):
-        hi = min(lo + tile, cfg.n_paths)
-        ctx = _emery_block(cfg, grid, lo, hi)
+
+    def tile(ctx):
         active = (t_left[None, :] >= ctx.xi[:, None] + 0.01) & (
             t_left[None, :] <= 0.99 - grid.dt
         )
@@ -352,8 +348,10 @@ def test_criterion_9_after_drift_integrable():
         )
         integrals = np.sum(rates, axis=1) * grid.dt
         assert np.all(np.isfinite(integrals))
-        worst = max(worst, float(np.max(integrals, initial=0.0)))
-        n_done += hi - lo
+        return float(np.max(integrals, initial=0.0)), len(integrals)
+
+    maxima, sizes = zip(*_map_tiles(cfg, _emery_block, tile))  # a run's tiles
+    worst, n_done = max(maxima), sum(sizes)
     elapsed = time.time() - t0
     _verdict(
         9,

@@ -498,6 +498,30 @@ class TestExitCodes:
             "recfree): its mean or stderr is not finite\n"
         )
 
+    @pytest.mark.parametrize("scenario, horizon", [
+        ("pitman", "1e-30"), ("pitman", "1e-34"), ("pitman", "1e-40"), ("pitman", "1e-300"),
+        ("supremum", "1e-100"), ("supremum", "1e-300"),
+    ])
+    def test_suite_that_tests_nothing_exit_two(self, tmp_path, capsys, scenario, horizon):
+        # at tiny horizons every suite entry can read stderr 0: pitman's R = 1
+        # absorbs each increment (a vacuous PASS, max |z| = 0) and supremum's
+        # squared products underflow (a false FAIL, every z inf)
+        from filtralab.cli import main
+
+        step = repr(float(horizon) / (10 if scenario == "pitman" else 5))
+        out = tmp_path / "r.csv"
+        argv = ["--scenario", scenario, "--horizon", horizon, "--dt", step, "--delta", step,
+                "--n-paths", "200", "--seed", "1", "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if horizon in ("1e-30", "1e-100"):
+            assert code == 0 and captured.err == "" and out.exists()
+            return
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"filtralab: config error: the {scenario} run tests nothing: every suite stderr is 0\n"
+        )
+
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)
         assert run(cfg) == 0

@@ -44,7 +44,7 @@ _BUILDERS = [
 ]
 
 
-class TestSimulateBrownian:
+class TestBrownianBlock:
     def test_starts_at_zero_and_variance(self):
         grid = TimeGrid(1e-3, 1000)
         block = sc._brownian_block(grid, 3, 0, 4)

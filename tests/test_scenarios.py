@@ -275,7 +275,7 @@ _STATISTICAL = list(sc._RECORDS)
 
 
 @pytest.mark.parametrize("scenario", _STATISTICAL)
-def test_reports_do_not_depend_on_the_tile(monkeypatch, scenario):
+def test_reports_do_not_depend_on_the_threads(monkeypatch, scenario):
     """A report does not depend on how its tiles are scheduled: tiles of 11
     rows (which do not divide the run), and one tile a run, give equal
     entries and verdicts on 1, 2 and 3 threads, corrected and control; each

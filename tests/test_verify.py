@@ -9,6 +9,7 @@ from scipy.stats import norm
 from filtralab.errors import ConfigurationError, InsufficientSampleError
 from filtralab.verify import (
     MomentAccumulator,
+    SuiteEntry,
     TestFunctional,
     bonferroni_threshold,
     martingale_suite,
@@ -72,10 +73,35 @@ class TestMomentAccumulator:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+    def test_vector_stats_equal_the_per_row_stats(self):
+        # one vector accumulator against a scalar one per row, bit for bit:
+        # N(0, 1); zeros (stderr 0, z 0); nonzero constants (stderr 0, z +inf);
+        # squares that overflow (m2 inf, stderr inf, z 0)
+        rows = np.zeros((6, 300))
+        rows[0] = np.random.default_rng(7).normal(size=300)
+        rows[2], rows[3] = 0.25, -2.0
+        rows[4, :2] = 1e200, -1e200
+        rows[5, :3] = 1e160, -1e160, 3.0
+        acc = _acc(rows)
+        assert np.isinf(acc.m2[4:]).all()
+        got = acc.stats()
+        assert list(got[2][1:]) == [0.0, np.inf, np.inf, 0.0, 0.0]
+        for i in range(len(rows)):
+            want = MomentAccumulator(acc.n, acc.mean[i], acc.m2[i]).stats()
+            assert [np.float64(v[i]).tobytes() for v in got] == [
+                np.float64(w).tobytes() for w in want
+            ], i
+
+
 def _acc(values):
     acc = MomentAccumulator()
     acc.add(values)
     return acc
+
+
+def _entry(key, acc):
+    """The suite row of one accumulator at key (s, t, functional), not yet judged."""
+    return SuiteEntry(*key, *acc.stats(), acc.n, False)
 
 
 class TestMomentAccumulatorStats:
@@ -150,13 +176,13 @@ class TestBonferroniAgainstScipy:
 
 class TestMartingaleSuite:
     def test_vacuous_pass_flagged(self):
-        report = martingale_suite({})
+        report = martingale_suite([])
         assert report.passed and report.vacuous
 
     def test_single_entry_rule(self):
         # with one entry the Bonferroni rule is the nominal threshold itself
         acc = _acc(np.concatenate([np.full(300, 0.1), np.full(300, -0.086)]))
-        report = martingale_suite({(0.1, 0.2, "f"): acc}, threshold=3.0)
+        report = martingale_suite([_entry((0.1, 0.2, "f"), acc)], threshold=3.0)
         assert len(report.entries) == 1 and report.per_entry_threshold == 3.0
         assert report.passed == (abs(report.entries[0].z) <= 3.0)
 
@@ -169,9 +195,21 @@ class TestMartingaleSuite:
         x = rng.normal(0.0, 1.0, 400)
         x = x - x.mean() + 3.5 * x.std(ddof=1) / math.sqrt(400)
         accs[(0.1, 0.2, "f3")] = _acc(x)
-        corrected = martingale_suite(accs, threshold=3.0)
+        corrected = martingale_suite([_entry(k, a) for k, a in accs.items()], threshold=3.0)
         assert abs(accs[(0.1, 0.2, "f3")].stats()[2]) > 3.0
         assert corrected.passed
+
+    def test_rows_are_judged_and_sorted(self):
+        # each row's verdict is set at the corrected threshold (about 3.32 for
+        # three rows), whatever it came in with, and rows sort by (s, t, functional)
+        rows = [SuiteEntry(0.4, 0.6, "b", 0.0, 1.0, 3.0, 200, False),
+                SuiteEntry(0.2, 0.4, "z", 0.0, 1.0, -3.5, 200, True),
+                SuiteEntry(0.2, 0.4, "a", 0.0, 1.0, 0.0, 200, False)]
+        report = martingale_suite(rows, threshold=3.0)
+        assert report.per_entry_threshold == bonferroni_threshold(3.0, 3)
+        assert [(e.s, e.t, e.functional, e.passed) for e in report.entries] == [
+            (0.2, 0.4, "a", True), (0.2, 0.4, "z", False), (0.4, 0.6, "b", True)]
+        assert report.verdict == "fail" and not report.vacuous
 
 
 class TestFunctionalBound:
