@@ -155,11 +155,8 @@ class ScenarioResult:
 
 @dataclass
 class BlockContext:
-    """Per-block arrays the functionals and candidates read, and nothing else.
-
-    ``rate_parts`` holds drift-rate ingredients that more than one leg of a
-    block reads, once the first leg has evaluated them.
-    """
+    """Per-block arrays the functionals and candidates read, and nothing else;
+    ``rates`` keeps the drift rates one leg evaluated for a later leg to take."""
 
     times: np.ndarray
     W: np.ndarray
@@ -169,7 +166,7 @@ class BlockContext:
     Ttimes: np.ndarray | None = None
     xi: np.ndarray | None = None
     g: np.ndarray | None = None
-    rate_parts: tuple | None = None
+    rates: dict | None = None
 
     def head(self, last: int) -> "BlockContext":
         """The block on grid columns [0, last]: per-time arrays are cut (as
@@ -330,13 +327,14 @@ except (AttributeError, OSError, TypeError):
 
 @contextlib.contextmanager
 def _tile_memory_kept():
-    """Keep freed memory in glibc's arenas while a run is inside, then give
-    the free pages back.
+    """Keep freed memory in glibc's arenas while a run is inside, then trim them.
 
-    By default glibc returns freed memory to the kernel once its arenas hold
-    about twice its dynamic mmap threshold (a few MiB), so every tile faulted
-    its temporaries in anew.  The thresholds set here, the top of glibc's own
-    dynamic range, stay set for the process; without glibc this does nothing.
+    By default glibc hands freed memory back once its arenas hold about twice
+    its dynamic mmap threshold (a few MiB), so each tile faulted its temporaries
+    in anew; these thresholds, the top of glibc's dynamic range, stay set.
+    ``malloc_trim`` shrinks only the main arena's top: in a tile thread's arena
+    it frees the pages of binned chunks, not the top chunk, which holds what a
+    finished tile freed.  Without glibc this does nothing.
     """
     if _LIBC is None:
         yield
@@ -564,31 +562,27 @@ def _supremum_functionals(cfg: ScenarioConfig, t: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _stopped_candidate(cfg, ctx, tau, level, rate_parts) -> np.ndarray:
+def _stopped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     """W stopped at the last passage ``tau`` at ``level``, progressively corrected.
 
     From tau on, the stopped value is the level itself, also where tau is a
-    grid time.  The drift rate dNdW/Z_- comes from ``rate_parts(ctx)`` =
-    (dNdW, Z) at the left endpoints and is integrated up to tau; the step
+    grid time.  The drift rate dNdW/Z_- at the left endpoints comes from
+    ``rate(ctx)``, a buffer integrated in place up to tau; the step
     straddling tau picks up the partial contribution rate * (tau - t_k), so
     the stopped process stays unbiased.
     """
     t = ctx.times
     if cfg.no_correction:
         return np.where(t[None, :] < tau[:, None], ctx.W, level)
-    dndw, z = rate_parts(ctx)
-    # stopped - cumulative(rate * dt_eff), with rate = dNdW / max(Z, 1e-300)
-    # (Z and dNdW underflow together), in place and one temporary at a time
-    rate = np.maximum(z, 1e-300)
-    np.divide(dndw, rate, out=rate)
-    del dndw, z  # frees emery's parts; honest's shared ones stay in ctx.rate_parts
+    drift = rate(ctx)
     dt_eff = np.subtract(tau[:, None], t[:-1][None, :])
-    rate *= np.clip(dt_eff, 0.0, cfg.dt, out=dt_eff)
+    drift *= np.clip(dt_eff, 0.0, cfg.dt, out=dt_eff)
     del dt_eff
-    drift = cumulative(rate)
-    del rate
-    stopped = np.where(t[None, :] < tau[:, None], ctx.W, level)
-    return np.subtract(stopped, drift, out=drift)
+    drift = cumulative(drift)
+    # the stopped process minus the drift, in the drift's buffer
+    before = t[None, :] < tau[:, None]
+    np.subtract(ctx.W, drift, out=drift, where=before)
+    return np.subtract(level, drift, out=drift, where=np.invert(before, out=before))
 
 
 def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
@@ -714,7 +708,12 @@ def _emery_rate_parts(ctx: BlockContext):
 
 def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Stopped at xi, where W sits at W1/2, and corrected before xi."""
-    return _stopped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], _emery_rate_parts)
+
+    def rate(ctx):  # dndw / max(z, 1e-300) in Z's buffer: they underflow together
+        dndw, z = _emery_rate_parts(ctx)
+        return np.divide(dndw, np.maximum(z, 1e-300, out=z), out=z)
+
+    return _stopped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], rate)
 
 
 def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -760,30 +759,26 @@ def _honest_rate_parts(ctx: BlockContext):
     return _azema_rate_parts(ctx, two_phi, lambda y: erfc(z := y / math.sqrt(2.0), out=z))
 
 
-def _honest_shared_parts(ctx: BlockContext):
-    """``_honest_rate_parts`` of the block, evaluated once for both legs."""
-    if ctx.rate_parts is None:
-        ctx.rate_parts = _honest_rate_parts(ctx)
-    return ctx.rate_parts
+def _honest_rate(ctx: BlockContext, leg: str) -> np.ndarray:
+    """The drift rate of the ``leg`` "before" g, dNdW/Z_-, or "after" it,
+    -dNdW/(1 - Z_-), at the left endpoints.  One ``_honest_rate_parts``
+    evaluation gives both; the other leg's stays in ``ctx.rates``."""
+    if leg not in (ctx.rates or {}):
+        dndw, z = _honest_rate_parts(ctx)
+        after = np.subtract(1.0, z)  # -(dndw / max(1 - z, 1e-300)); negating is exact
+        np.negative(np.divide(dndw, np.maximum(after, 1e-300, out=after), out=after), out=after)
+        ctx.rates = dict(before=np.divide(dndw, np.maximum(z, 1e-300, out=z), out=z), after=after)
+    return ctx.rates.pop(leg)
 
 
 def _honest_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Stopped at g, where W sits at 0, and corrected before g."""
-    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, _honest_shared_parts)
+    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, lambda ctx: _honest_rate(ctx, "before"))
 
 
 def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Damped after g, with rate -dNdW/(1 - Z_-); the avoided set is W = 0."""
-
-    def rate(active):
-        # -dndw / max(1 - z, 1e-300) in place; negating the quotient is exact
-        dndw, z = _honest_shared_parts(ctx)
-        out = np.subtract(1.0, z)
-        np.maximum(out, 1e-300, out=out)
-        np.divide(dndw, out, out=out)
-        return np.negative(out, out=out)
-
-    return _damped_candidate(cfg, ctx, ctx.g, 0.0, rate)
+    return _damped_candidate(cfg, ctx, ctx.g, 0.0, lambda active: _honest_rate(ctx, "after"))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,10 @@ class MomentAccumulator:
 
     @np.errstate(over="ignore", invalid="ignore")
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Chan, Golub and LeVeque's update (Am. Statistician 37(3), 1983)."""
+        """Chan, Golub and LeVeque's update (Am. Statistician 37(3), 1983).  Into an
+        empty accumulator a shard merges as itself: there delta * delta * 0 can be inf * 0."""
+        if not self.n:  # 0.0 + reads a -0.0 as 0.0, as the update does
+            return MomentAccumulator(other.n, 0.0 + other.mean, 0.0 + other.m2)
         n, delta = self.n + other.n, other.mean - self.mean
         m2 = self.m2 + other.m2 + delta * delta * (self.n * other.n / n)
         return MomentAccumulator(n, self.mean + delta * (other.n / n), m2)

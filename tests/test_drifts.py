@@ -37,13 +37,23 @@ def _drift(candidate, cfg, ctx):
 
 
 def _stopped(tau, dndw, z):
-    """The shared before-candidate with constant hand-given (dNdW, Z)."""
+    """The shared before-candidate with the rate dNdW / max(Z, 1e-300) of
+    constant hand-given (dNdW, Z)."""
+
+    def rate(ctx):
+        return np.full(ctx.W[:, :-1].shape, dndw / max(z, 1e-300))
+
+    return lambda cfg, ctx: sc._stopped_candidate(cfg, ctx, np.array([tau]), 0.0, rate)
+
+
+def _hand_parts(monkeypatch, dndw, z, kernel="_honest_rate_parts"):
+    """Patch a rate-parts kernel to return constant hand-given (dNdW, Z)."""
 
     def parts(ctx):
         shape = ctx.W[:, :-1].shape
         return np.full(shape, dndw), np.full(shape, z)
 
-    return lambda cfg, ctx: sc._stopped_candidate(cfg, ctx, np.array([tau]), 0.0, parts)
+    monkeypatch.setattr(sc, kernel, parts)
 
 
 def _h_quad(y):
@@ -137,6 +147,16 @@ class TestProgressiveDrift:
         inc = _drift(_stopped(1.0, 0.0, 0.0), _cfg(0.1), ctx)
         assert np.all(inc == 0.0)
 
+    @pytest.mark.parametrize("kernel, candidate", [
+        ("_honest_rate_parts", sc._honest_before_candidate),
+        ("_emery_rate_parts", sc._emery_before_candidate),
+    ], ids=["honest", "emery-before"])
+    def test_underflowed_Z_gives_zero_rate_in_each_run(self, monkeypatch, kernel, candidate):
+        # as above, through each run's own before-rate
+        _hand_parts(monkeypatch, 0.0, 0.0, kernel)
+        ctx = _ctx(0.1, np.zeros(5), g=1.0, xi=1.0, W1=0.0)
+        assert np.all(_drift(candidate, _cfg(0.1), ctx) == 0.0)
+
     def test_emery_instance_rate_zero_at_origin_level(self):
         # dNdW = -h'(0) sgn(0)/sqrt(0.5) = 0 at W_t = 0
         dndw, _ = sc._emery_rate_parts(_ctx(0.5, [0.0, 0.3]))
@@ -144,15 +164,8 @@ class TestProgressiveDrift:
 
 
 class TestHonestDrift:
-    def _hand_parts(self, monkeypatch, dndw, z):
-        def parts(ctx):
-            shape = ctx.W[:, :-1].shape
-            return np.full(shape, dndw), np.full(shape, z)
-
-        monkeypatch.setattr(sc, "_honest_rate_parts", parts)
-
     def test_two_sided_rates(self, monkeypatch):
-        self._hand_parts(monkeypatch, 0.2, 0.5)
+        _hand_parts(monkeypatch, 0.2, 0.5)
         # |W| >= 0.3 everywhere: the after-side damping weight is 1
         ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
         cfg = _cfg(0.1, delta=0.1)
@@ -168,7 +181,7 @@ class TestHonestDrift:
         assert after[5] == 0.0
 
     def test_zero_dndw_zero_drift(self, monkeypatch):
-        self._hand_parts(monkeypatch, 0.0, 0.5)
+        _hand_parts(monkeypatch, 0.0, 0.5)
         ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
         for candidate in (sc._honest_before_candidate, sc._honest_after_candidate):
             assert np.all(_drift(candidate, _cfg(0.1), ctx) == 0.0)

@@ -92,6 +92,38 @@ class TestMomentAccumulator:
                 np.float64(w).tobytes() for w in want
             ], i
 
+    def test_merge_into_empty_is_the_shard(self):
+        # the update multiplies delta * delta by self.n * other.n / n = 0, so a
+        # mean past about 1.3e154 overflowed the square and read m2 nan
+        for v in (np.full(100, 2.0**520), np.full(100, 1e155), np.arange(100.0) * 1e150):
+            acc = _acc(v)
+            assert (acc.n, acc.mean) == (100, v.mean())
+            assert acc.m2 == np.square(v - v.mean()).sum()
+        assert _acc(np.full(100, 2.0**520)).m2 == 0.0  # its mean is exact
+        rows = _acc(np.stack([np.full(100, 1e155), np.arange(100.0)]))
+        assert list(rows.m2) == [_acc(np.full(100, 1e155)).m2, _acc(np.arange(100.0)).m2]
+
+    def test_merge_into_empty_keeps_the_update_bits(self):
+        # a finite shard merged into an empty accumulator reads (n, mean, m2)
+        # bit for bit as the update gives them at n = 0, a -0.0 mean read as 0.0
+        def update(shard):
+            delta = shard.mean - 0.0
+            return 0.0 + delta * 1.0, 0.0 + shard.m2 + delta * delta * 0.0
+
+        def shard(v):
+            mean = v.mean(axis=-1, keepdims=True)
+            return MomentAccumulator(v.shape[-1], mean[..., 0], np.square(v - mean).sum(axis=-1))
+
+        rng = np.random.default_rng(8)
+        shards = [MomentAccumulator(5, -0.0, 0.0), shard(rng.normal(size=(4, 300))),
+                  shard(rng.normal(size=77) * 1e150), shard(np.zeros(100)), shard(-np.zeros(3))]
+        for one in shards:
+            got = MomentAccumulator().merge(one)
+            assert got.n == one.n
+            assert [np.asarray(x).tobytes() for x in (got.mean, got.m2)] == [
+                np.asarray(x).tobytes() for x in update(one)
+            ]
+
 
 def _acc(values):
     acc = MomentAccumulator()
