@@ -3,8 +3,9 @@
 The scenarios' block kernels simulate and condition whole blocks of paths;
 this module holds what they share: ``draw_rows``, exact draws of the
 Brownian-bridge maximum and the Bessel(3)-bridge minimum of a step, the
-Pitman construction of a block of Bessel(3) paths, exact in law, and the
-scale function whose inverse completes the future infimum past the horizon.
+exact running maximum of a Brownian path at its grid times, the Pitman
+construction of a block of Bessel(3) paths, exact in law, and the scale
+function whose inverse completes the future infimum past the horizon.
 
 Simulation is deterministic per (seed, path index): ``draw_rows`` gives each
 path its own counter-based substream, whatever block the path falls in; one
@@ -120,6 +121,15 @@ def _bridge_min(x: np.ndarray, y: np.ndarray, dt: float, u: np.ndarray) -> np.nd
     return _bridge_extremum(x, y, dt, u, np.subtract, out=u)
 
 
+def _running_max(path: np.ndarray, sup: np.ndarray, dt: float) -> np.ndarray:
+    """Exact running maximum of ``path`` at its grid times over ``sup``, whose
+    ``sup[..., 1:]`` holds the steps' bridge uniforms (1 - U); returns ``sup``."""
+    sup[..., :1] = path[..., :1]
+    _bridge_max(path[..., :-1], path[..., 1:], dt, sup[..., 1:], out=sup[..., 1:])
+    np.maximum.accumulate(sup[..., 1:], axis=-1, out=sup[..., 1:])
+    return sup
+
+
 def pitman_from_draws(r0: float, path: np.ndarray, sup: np.ndarray, dt: float) -> np.ndarray:
     """Deterministic kernel of the Pitman construction, in place along the last axis.
 
@@ -136,10 +146,7 @@ def pitman_from_draws(r0: float, path: np.ndarray, sup: np.ndarray, dt: float) -
     path[..., 1:] *= math.sqrt(dt)
     np.cumsum(path[..., 1:], axis=-1, out=path[..., 1:])
     path[..., 1:] += path[..., :1]
-    sup[..., :1] = path[..., :1]
-    _bridge_max(path[..., :-1], path[..., 1:], dt, sup[..., 1:], out=sup[..., 1:])
-    np.maximum.accumulate(sup[..., 1:], axis=-1, out=sup[..., 1:])
-    np.maximum(j0, sup, out=sup)
+    np.maximum(j0, _running_max(path, sup, dt), out=sup)
     sup *= 2.0
     sup -= path
     return sup

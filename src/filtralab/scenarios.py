@@ -16,7 +16,6 @@ pitman, glue-demo, elemint-check.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import math
 import os
@@ -35,7 +34,7 @@ from .drifts import (
 from .errors import ConfigurationError
 from .grids import GridPath, TimeGrid, cumulative
 from .gluing import PieceSystem, glue, reconstruction_residual
-from .paths import _bridge_min, draw_rows, pitman_from_draws, reciprocal_scale
+from .paths import _bridge_min, _running_max, draw_rows, pitman_from_draws, reciprocal_scale
 from .rng import substream  # noqa: F401  (the benchmark's trace table looks it up here)
 from .verify import (
     MartingaleTestReport,
@@ -321,30 +320,14 @@ try:  # glibc's allocator controls; None under another C library
     _LIBC = ctypes.CDLL(None)
     _LIBC.mallopt.argtypes, _LIBC.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _LIBC.malloc_trim.argtypes, _LIBC.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _LIBC = None
-
-
-@contextlib.contextmanager
-def _tile_memory_kept():
-    """Keep freed memory in glibc's arenas while a run is inside, then trim them.
-
-    By default glibc hands freed memory back once its arenas hold about twice
-    its dynamic mmap threshold (a few MiB), so each tile faulted its temporaries
-    in anew; these thresholds, the top of glibc's dynamic range, stay set.
-    ``malloc_trim`` shrinks only the main arena's top: in a tile thread's arena
-    it frees the pages of binned chunks, not the top chunk, which holds what a
-    finished tile freed.  Without glibc this does nothing.
-    """
-    if _LIBC is None:
-        yield
-        return
+    # By default glibc hands freed memory back once its arenas hold about twice
+    # its dynamic mmap threshold (a few MiB), so each tile faulted its temporaries
+    # in anew; these thresholds, the top of its dynamic range, keep them.  In a tile
+    # thread's arena ``malloc_trim`` frees binned chunks' pages, not the top chunk.
     _LIBC.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     _LIBC.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    try:
-        yield
-    finally:
-        _LIBC.malloc_trim(0)
+except (AttributeError, OSError, TypeError):
+    _LIBC = None
 
 
 def _map_tiles(cfg: ScenarioConfig, block: Callable, fn: Callable):
@@ -353,9 +336,9 @@ def _map_tiles(cfg: ScenarioConfig, block: Callable, fn: Callable):
 
     Tiles of ``_tile_rows(grid)`` paths run on ``_tile_threads()`` threads,
     at most two a thread submitted and not yet consumed, and reuse each
-    other's freed memory (``_tile_memory_kept``).  A block builder wrapped
-    from outside (``__wrapped__``, as ``functools.wraps`` and the benchmark's
-    trace leave it) runs on one thread: the wrapper need not be thread-safe.
+    other's freed memory (``_LIBC``), trimmed at the end.  A block builder
+    wrapped from outside (``__wrapped__``, as ``functools.wraps`` and the
+    benchmark's trace leave it) runs on one thread: it need not be thread-safe.
     """
     grid = cfg.grid()
     rows = _tile_rows(grid)
@@ -365,13 +348,17 @@ def _map_tiles(cfg: ScenarioConfig, block: Callable, fn: Callable):
         return fn(block(cfg, grid, lo, min(lo + rows, cfg.n_paths)))
 
     pending = deque()
-    with _tile_memory_kept(), ThreadPoolExecutor(threads) as pool:
-        for lo in range(0, cfg.n_paths, rows):
-            if len(pending) == 2 * threads:
-                yield pending.popleft().result()  # re-raises a tile's error
-            pending.append(pool.submit(tile, lo))
-        while pending:
-            yield pending.popleft().result()
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            for lo in range(0, cfg.n_paths, rows):
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()  # re-raises a tile's error
+                pending.append(pool.submit(tile, lo))
+            while pending:
+                yield pending.popleft().result()
+    finally:
+        if _LIBC is not None:
+            _LIBC.malloc_trim(0)
 
 
 def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
@@ -381,8 +368,8 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
     Kernels work row by row, so a tile's per-path values are those of its
     rows in the whole ensemble; a tile, cut to the last column a leg or
     level reads, reduces them as one (entries x rows) matrix, and the merged
-    tiles give every entry at once.  A run with no suite entry, a non-finite
-    entry, or no suite entry with stderr > 0 (it tests nothing) is refused.
+    tiles give every entry at once.  A run is refused if it has no suite entry,
+    a non-finite entry, every suite stderr 0, or one of stderr 0 and mean not 0.
     """
     grid = cfg.grid()
     legs = [
@@ -430,6 +417,10 @@ def _drive(cfg: ScenarioConfig, rec: Scenario) -> ScenarioResult:
                 f"entry ({s:g}, {t:g}, {fid}): its mean or stderr is not finite")
     if not any(e > 0.0 for e in stderr[:len(keys)]):
         raise ConfigurationError(f"the {cfg.scenario} run tests nothing: every suite stderr is 0")
+    for (s, t, fid), m, e in zip(names, mean, stderr):
+        if e == 0.0 and m != 0.0:
+            raise ConfigurationError(f"entry ({s:g}, {t:g}, {fid}): mean {m:g} with stderr 0 "
+                                     "cannot be judged at this config")
     entries = [SuiteEntry(*name, m, e, q, total.n, abs(q) <= 3.0)
                for name, m, e, q in zip(names, mean, stderr, z)]
     suite = martingale_suite(entries[:len(keys)], cfg.threshold)
@@ -490,21 +481,13 @@ def _supremum_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> Bl
     that contains them (midpoint convention) and censored entries get one
     exact post-horizon first-passage draw, made on every path (U_h > W_h a.s.).
     """
-    # imported per call, not at the top, so that a wrapper put on
-    # paths._bridge_max (the benchmark's per-layer trace) is the one called
-    from .paths import _bridge_max
-
     w = _brownian_block(grid, cfg.seed, lo, hi)
-    # the step maxima, drawn over their uniforms in what becomes the record times
-    ttimes = np.empty_like(w)
-    step_max = _bridge_uniforms(cfg.seed, lo, hi - lo, grid.n, out=ttimes[:, :-1])
-    _bridge_max(w[:, :-1], w[:, 1:], grid.dt, step_max, out=step_max)
     u = np.empty_like(w)
-    u[:, 0] = w[:, 0]
-    np.maximum.accumulate(step_max, axis=1, out=u[:, 1:])
+    _bridge_uniforms(cfg.seed, lo, hi - lo, grid.n, out=u[:, 1:])
+    _running_max(w, u, grid.dt)
 
-    rec = step_max > u[:, :-1]  # the supremum rises inside this step
-    ttimes.fill(math.inf)
+    rec = u[:, 1:] > u[:, :-1]  # the supremum rises inside this step
+    ttimes = np.full_like(w, math.inf)
     np.copyto(ttimes[:, :-1], grid.times()[:-1] + 0.5 * grid.dt, where=rec)
     np.minimum.accumulate(ttimes[:, ::-1], axis=1, out=ttimes[:, ::-1])
 

@@ -522,6 +522,34 @@ class TestExitCodes:
             f"filtralab: config error: the {scenario} run tests nothing: every suite stderr is 0\n"
         )
 
+    @pytest.mark.parametrize("scenario, horizon, entry", [
+        ("pitman", "1e40", "(0, 0, level:2I-R): mean -1"),
+        ("pitman", "1e300", "(0, 0, level:2I-R): mean -1"),
+        ("supremum", "1e-108", "(2e-109, 4e-109, recfree*tanh(U)): mean 4.39645e-165"),
+        ("supremum", "1e-110", "(2e-111, 4e-111, recfree*tanh(U)): mean 4.39645e-168"),
+        ("pitman", "1e-33", None), ("pitman", "1e30", None), ("supremum", "1e-106", None),
+    ])
+    def test_entry_of_stderr_zero_and_nonzero_mean_exit_two(self, tmp_path, capsys, scenario,
+                                                            horizon, entry):
+        # such an entry reads z inf, a false FAIL: pitman's bridge minima
+        # cancel to I_0 = 0 from horizon 1e40, and supremum's squared tanh
+        # products underflow from 1e-108; entries of mean 0 and stderr 0 (as
+        # at pitman 1e-33) keep their verdicts
+        from filtralab.cli import main
+
+        step = repr(float(horizon) / (10 if scenario == "pitman" else 5))
+        out = tmp_path / "r.csv"
+        argv = ["--scenario", scenario, "--horizon", horizon, "--dt", step, "--delta", step,
+                "--n-paths", "200", "--seed", "1", "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if entry is None:
+            assert code == 0 and captured.err == "" and out.exists()
+            return
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (f"filtralab: config error: entry {entry} with stderr 0 "
+                                "cannot be judged at this config\n")
+
     def test_pass_exit_zero_small_run(self):
         cfg = ScenarioConfig(scenario="bridge", dt=0.01, n_paths=4000, seed=2)
         assert run(cfg) == 0

@@ -150,7 +150,7 @@ class TestDrawRows:
             assert np.array_equal(out[k], draw(substream(9, "bes3", 30 + k)))
 
 
-class TestSimulateBes3:
+class TestPitmanBlock:
     def test_degenerate_draws_keep_r0(self):
         # zero Brownian increments and unit bridge uniforms: R stays at r0
         r = P.pitman_from_draws(1.3, np.r_[0.4, np.zeros(50)], np.ones(51), 0.01)
