@@ -155,7 +155,8 @@ class ScenarioResult:
 @dataclass
 class BlockContext:
     """Per-block arrays the functionals and candidates read, and nothing else;
-    ``rates`` keeps the drift rates one leg evaluated for a later leg to take."""
+    a last-passage block holds its time ``tau``, its per-path ``level`` as a
+    column and, between its legs, the ``post_rate`` the pre leg evaluated."""
 
     times: np.ndarray
     W: np.ndarray
@@ -163,13 +164,13 @@ class BlockContext:
     U: np.ndarray | None = None
     I: np.ndarray | None = None
     Ttimes: np.ndarray | None = None
-    xi: np.ndarray | None = None
-    g: np.ndarray | None = None
-    rates: dict | None = None
+    tau: np.ndarray | None = None
+    level: np.ndarray | None = None
+    post_rate: np.ndarray | None = None
 
     def head(self, last: int) -> "BlockContext":
         """The block on grid columns [0, last]: per-time arrays are cut (as
-        views), per-path ones (W1, xi, g) stay whole."""
+        views), per-path ones (W1, tau, level) stay whole."""
         cols = ("times", "W", "U", "I", "Ttimes")
         return replace(self, **{
             k: getattr(self, k)[..., :last + 1] for k in cols if getattr(self, k) is not None
@@ -209,8 +210,8 @@ class Scenario(NamedTuple):
     check dt <= delta < horizon), and ``window_end`` the time by which the
     last step of its correction window ends (None: no window rule).
     ``special`` marks a run whose kernels evaluate ``scipy.special`` (the
-    corrected last-passage runs whose rate reads Z), which no other run
-    imports.
+    corrected runs with a leg stopped at a last passage, whose rate reads
+    Z), which no other run imports.
     """
 
     block: Callable
@@ -541,23 +542,53 @@ def _supremum_functionals(cfg: ScenarioConfig, t: float) -> list:
 
 
 # ---------------------------------------------------------------------------
-# progressive enlargement with a last-passage time: the shared kernels
+# progressive enlargement with a last passage: xi at W1/2 (emery), g at 0 (honest)
 # ---------------------------------------------------------------------------
 
 
-def _stopped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
-    """W stopped at the last passage ``tau`` at ``level``, progressively corrected.
+def _last_passage_block(cfg, grid, lo, hi, level: Callable) -> BlockContext:
+    """Brownian block with its last passage ``tau`` at the per-path level
+    ``level(W1)``, which the block keeps as a column."""
+    w = _brownian_block(grid, cfg.seed, lo, hi)
+    level = level(w[:, -1])
+    tau = _exact_last_passage(w, level, grid, cfg.seed, lo)
+    return BlockContext(grid.times(), w, W1=w[:, -1], tau=tau, level=level[:, None])
+
+
+def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
+    return _last_passage_block(cfg, grid, lo, hi, lambda w1: w1 / 2.0)
+
+
+def _honest_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
+    return _last_passage_block(cfg, grid, lo, hi, np.zeros_like)
+
+
+def _azema_rates(ctx: BlockContext, parts: Callable, after: bool = False) -> np.ndarray:
+    """The rate before the last passage, dNdW/max(Z_-, 1e-300) (the two underflow
+    together), of the parts ``parts(ctx)`` = (dNdW, Z) at the left endpoints,
+    in Z's buffer; with ``after``, the rate after it, -dNdW/max(1 - Z_-,
+    1e-300), is left in ``ctx.post_rate`` for the post leg to take."""
+    dndw, z = parts(ctx)
+    if after:
+        post = np.subtract(1.0, z)  # -(dndw / max(1 - z, 1e-300)); negating is exact
+        np.negative(np.divide(dndw, np.maximum(post, 1e-300, out=post), out=post), out=post)
+        ctx.post_rate = post
+    return np.divide(dndw, np.maximum(z, 1e-300, out=z), out=z)
+
+
+def _stopped_candidate(cfg, ctx, parts, after=False) -> np.ndarray:
+    """W stopped at the last passage ``ctx.tau`` at ``ctx.level``, progressively corrected.
 
     From tau on, the stopped value is the level itself, also where tau is a
-    grid time.  The drift rate dNdW/Z_- at the left endpoints comes from
-    ``rate(ctx)``, a buffer integrated in place up to tau; the step
-    straddling tau picks up the partial contribution rate * (tau - t_k), so
-    the stopped process stays unbiased.
+    grid time.  The drift rate ``_azema_rates(ctx, parts, after)`` at the
+    left endpoints is integrated in place up to tau; the step straddling tau
+    picks up the partial contribution rate * (tau - t_k), so the stopped
+    process stays unbiased.
     """
-    t = ctx.times
+    t, tau = ctx.times, ctx.tau
     if cfg.no_correction:
-        return np.where(t[None, :] < tau[:, None], ctx.W, level)
-    drift = rate(ctx)
+        return np.where(t[None, :] < tau[:, None], ctx.W, ctx.level)
+    drift = _azema_rates(ctx, parts, after)
     dt_eff = np.subtract(tau[:, None], t[:-1][None, :])
     drift *= np.clip(dt_eff, 0.0, cfg.dt, out=dt_eff)
     del dt_eff
@@ -565,23 +596,23 @@ def _stopped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     # the stopped process minus the drift, in the drift's buffer
     before = t[None, :] < tau[:, None]
     np.subtract(ctx.W, drift, out=drift, where=before)
-    return np.subtract(level, drift, out=drift, where=np.invert(before, out=before))
+    return np.subtract(ctx.level, drift, out=drift, where=np.invert(before, out=before))
 
 
-def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
+def _damped_candidate(cfg, ctx, rate) -> np.ndarray:
     """Damped corrected increments on steps fully inside (tau + delta, cap].
 
-    After a last passage the drift blows up like the reciprocal distance to
-    the avoided ``level``, so the candidate integrates the corrected
-    increments against the bounded predictable weight
-    min(1, |W - level|^4 / c^4); under the null any such integral is again
-    a martingale, and the weight suppresses the region where a finite grid
-    cannot match the continuum compensator.  ``rate(active)`` is the drift
-    rate, read on the active steps only; the negative control never
+    After the last passage ``ctx.tau`` the drift blows up like the
+    reciprocal distance to the avoided ``ctx.level``, so the candidate
+    integrates the corrected increments against the bounded predictable
+    weight min(1, |W - level|^4 / c^4); under the null any such integral is
+    again a martingale, and the weight suppresses the region where a finite
+    grid cannot match the continuum compensator.  ``rate(active)`` is the
+    drift rate, read on the active steps only; the negative control never
     evaluates it.
     """
     t_left, t_right = ctx.times[:-1], ctx.times[1:]
-    active = (t_left[None, :] >= tau[:, None] + cfg.delta - 1e-12) & (
+    active = (t_left[None, :] >= ctx.tau[:, None] + cfg.delta - 1e-12) & (
         t_right[None, :] <= _AFTER_CAP + 1e-12
     )
     inc = np.diff(ctx.W, axis=1)
@@ -591,7 +622,7 @@ def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
         np.subtract(inc, drift, out=inc, where=active)
         del drift
     # phi = min(1, (|W - level| / c)^4) * active, in place
-    phi = np.subtract(ctx.W[:, :-1], level)
+    phi = np.subtract(ctx.W[:, :-1], ctx.level)
     np.abs(phi, out=phi)
     phi /= _DAMP_SCALE
     np.power(phi, 4, out=phi)
@@ -602,53 +633,56 @@ def _damped_candidate(cfg, ctx, tau, level, rate) -> np.ndarray:
     return cumulative(phi)
 
 
-def _before_functionals(field: str) -> list:
+def _before_functionals(name: str) -> list:
     """The base functionals and two indicators of whether the last passage
-    ``field`` (xi or g) has come by the grid time of s."""
+    tau, ``name`` in the entry ids, has come by the grid time of s."""
 
     def not_yet(ctx: BlockContext, si: int) -> np.ndarray:
-        return (getattr(ctx, field) > ctx.times[si]).astype(float)
+        return (ctx.tau > ctx.times[si]).astype(float)
 
     return _base_functionals() + [
-        TestFunctional(f"1[{field}<=s]", lambda ctx, si: 1.0 - not_yet(ctx, si)),
+        TestFunctional(f"1[{name}<=s]", lambda ctx, si: 1.0 - not_yet(ctx, si)),
         TestFunctional(
-            f"sign(W)*1[{field}>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx, si)
+            f"sign(W)*1[{name}>s]", lambda ctx, si: np.sign(ctx.W[:, si]) * not_yet(ctx, si)
         ),
     ]
 
 
-def _after_functionals(field: str, cfg: ScenarioConfig, s: float) -> list:
-    """Functionals masked to paths whose last passage ``field`` came by
-    s - delta; emery's (xi) also read W1 and its avoided level W1/2."""
+def _after_functionals(name: str, cfg: ScenarioConfig, s: float, extra=()) -> list:
+    """The indicator that the last passage tau, ``name`` in the entry ids,
+    came by s - delta, and this mask times sign(W) and each of ``extra``."""
 
     def mask(ctx: BlockContext) -> np.ndarray:
-        return (getattr(ctx, field) <= s - cfg.delta).astype(float)
+        return (ctx.tau <= s - cfg.delta).astype(float)
 
-    funcs = [
-        TestFunctional(f"1[{field}<=s-d]", lambda ctx, si: mask(ctx)),
-        TestFunctional("mask*sign(W)", lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si])),
+    sign_w = TestFunctional("sign(W)", lambda ctx, si: np.sign(ctx.W[:, si]))
+    return [TestFunctional(f"1[{name}<=s-d]", lambda ctx, si: mask(ctx))] + [
+        TestFunctional(f"mask*{f.id}", lambda ctx, si, f=f: mask(ctx) * f.evaluate(ctx, si))
+        for f in (sign_w, *extra)
     ]
-    if field == "xi":
-        funcs += [
-            TestFunctional("mask*sign(W1)", lambda ctx, si: mask(ctx) * np.sign(ctx.W1)),
-            TestFunctional(
-                "mask*sign(W-W1/2)",
-                lambda ctx, si: mask(ctx) * np.sign(ctx.W[:, si] - ctx.W1 / 2.0),
-            ),
-        ]
-    return funcs
 
 
-# ---------------------------------------------------------------------------
-# emery: progressive enlargement with the half-terminal last-passage time
-# ---------------------------------------------------------------------------
-
-
-def _emery_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
-    w = _brownian_block(grid, cfg.seed, lo, hi)
-    w1 = w[:, -1]
-    xi = _exact_last_passage(w, w1 / 2.0, grid, cfg.seed, lo)
-    return BlockContext(grid.times(), w, W1=w1, xi=xi)
+def _last_passage_record(cfg: ScenarioConfig, block: Callable, name: str,
+                         pre: tuple = (), post: tuple = ()) -> Scenario:
+    """The scenario on horizon 1 of the last passage tau ``block`` builds,
+    ``name`` in its entry ids.  ``pre`` = (candidate, *checkpoints) declares
+    a leg stopped at tau, tested on the chain 0.1, 0.3, ..., 0.9 and the
+    checkpoints given; ``post`` = (candidate, *functionals) one damped after
+    it, tested on the chain 0.3, ..., 0.9 and (0.3, 0.9), the functionals
+    given masked.  Only a post leg reads delta and has a correction window,
+    and only a corrected pre leg evaluates Z, so ``scipy.special``."""
+    both = bool(pre and post)  # then ids start "pre|" and "post|"
+    legs = []
+    if pre:
+        legs.append(Leg("pre|" * both, pre[0], lambda s, t: _before_functionals(name),
+                        _chain(0.1, 0.3, 0.5, 0.7, 0.9) + pre[1:]))
+    if post:
+        legs.append(Leg("post|" * both, post[0],
+                        lambda s, t: _after_functionals(name, cfg, s, post[1:]),
+                        _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),)))
+    return Scenario(block, tuple(legs), unit_horizon=True, reads_delta=bool(post),
+                    window_end=_AFTER_CAP if post else None,
+                    special=bool(pre) and not cfg.no_correction)
 
 
 def _emery_Z_from_y(y: np.ndarray) -> np.ndarray:
@@ -691,12 +725,7 @@ def _emery_rate_parts(ctx: BlockContext):
 
 def _emery_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
     """Stopped at xi, where W sits at W1/2, and corrected before xi."""
-
-    def rate(ctx):  # dndw / max(z, 1e-300) in Z's buffer: they underflow together
-        dndw, z = _emery_rate_parts(ctx)
-        return np.divide(dndw, np.maximum(z, 1e-300, out=z), out=z)
-
-    return _stopped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], rate)
+    return _stopped_candidate(cfg, ctx, _emery_rate_parts)
 
 
 def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
@@ -708,18 +737,7 @@ def _emery_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray
         out[rows, cols] = emery_after_rate(ctx.W[rows, cols], ctx.times[cols], ctx.W1[rows])
         return out
 
-    return _damped_candidate(cfg, ctx, ctx.xi, (ctx.W1 / 2.0)[:, None], rate)
-
-
-# ---------------------------------------------------------------------------
-# honest: progressive enlargement with the last zero before 1
-# ---------------------------------------------------------------------------
-
-
-def _honest_block(cfg: ScenarioConfig, grid: TimeGrid, lo: int, hi: int) -> BlockContext:
-    w = _brownian_block(grid, cfg.seed, lo, hi)
-    g = _exact_last_passage(w, np.zeros(hi - lo), grid, cfg.seed, lo)
-    return BlockContext(grid.times(), w, g=g)
+    return _damped_candidate(cfg, ctx, rate)
 
 
 def _honest_rate_parts(ctx: BlockContext):
@@ -742,26 +760,21 @@ def _honest_rate_parts(ctx: BlockContext):
     return _azema_rate_parts(ctx, two_phi, lambda y: erfc(z := y / math.sqrt(2.0), out=z))
 
 
-def _honest_rate(ctx: BlockContext, leg: str) -> np.ndarray:
-    """The drift rate of the ``leg`` "before" g, dNdW/Z_-, or "after" it,
-    -dNdW/(1 - Z_-), at the left endpoints.  One ``_honest_rate_parts``
-    evaluation gives both; the other leg's stays in ``ctx.rates``."""
-    if leg not in (ctx.rates or {}):
-        dndw, z = _honest_rate_parts(ctx)
-        after = np.subtract(1.0, z)  # -(dndw / max(1 - z, 1e-300)); negating is exact
-        np.negative(np.divide(dndw, np.maximum(after, 1e-300, out=after), out=after), out=after)
-        ctx.rates = dict(before=np.divide(dndw, np.maximum(z, 1e-300, out=z), out=z), after=after)
-    return ctx.rates.pop(leg)
-
-
 def _honest_before_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Stopped at g, where W sits at 0, and corrected before g."""
-    return _stopped_candidate(cfg, ctx, ctx.g, 0.0, lambda ctx: _honest_rate(ctx, "before"))
+    """Stopped at g, where W sits at 0, and corrected before g; the rate
+    after g is left on the block for the post leg."""
+    return _stopped_candidate(cfg, ctx, _honest_rate_parts, after=True)
 
 
 def _honest_after_candidate(cfg: ScenarioConfig, ctx: BlockContext) -> np.ndarray:
-    """Damped after g, with rate -dNdW/(1 - Z_-); the avoided set is W = 0."""
-    return _damped_candidate(cfg, ctx, ctx.g, 0.0, lambda active: _honest_rate(ctx, "after"))
+    """Damped after g, with the rate -dNdW/(1 - Z_-) the pre leg left; the
+    avoided set is W = 0."""
+
+    def rate(active):  # off the block, or it outlives its use (tile peak 3.93, not 3.82)
+        rate, ctx.post_rate = ctx.post_rate, None
+        return rate
+
+    return _damped_candidate(cfg, ctx, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -965,32 +978,16 @@ _RECORDS = {
              _pairs(*(k * cfg.horizon for k in (0.2, 0.4, 0.6, 0.8)))),),
         reads_delta=True,
     ),
-    "emery-before": lambda cfg: Scenario(
-        _emery_block,
-        (Leg("", _emery_before_candidate, lambda s, t: _before_functionals("xi"),
-             _chain(0.1, 0.3, 0.5, 0.7, 0.9) + ((0.1, 0.5), (0.5, 0.9))),),
-        unit_horizon=True,
-        special=not cfg.no_correction,
-    ),
-    "emery-after": lambda cfg: Scenario(
-        _emery_block,
-        (Leg("", _emery_after_candidate, lambda s, t: _after_functionals("xi", cfg, s),
-             _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),)),),
-        unit_horizon=True,
-        reads_delta=True,
-        window_end=_AFTER_CAP,
-    ),
-    "honest": lambda cfg: Scenario(
-        _honest_block,
-        (Leg("pre|", _honest_before_candidate, lambda s, t: _before_functionals("g"),
-             _chain(0.1, 0.3, 0.5, 0.7, 0.9) + ((0.1, 0.9),)),
-         Leg("post|", _honest_after_candidate, lambda s, t: _after_functionals("g", cfg, s),
-             _chain(0.3, 0.5, 0.7, 0.9) + ((0.3, 0.9),))),
-        unit_horizon=True,
-        reads_delta=True,
-        window_end=_AFTER_CAP,
-        special=not cfg.no_correction,
-    ),
+    "emery-before": lambda cfg: _last_passage_record(
+        cfg, _emery_block, "xi", pre=(_emery_before_candidate, (0.1, 0.5), (0.5, 0.9))),
+    "emery-after": lambda cfg: _last_passage_record(cfg, _emery_block, "xi", post=(
+        _emery_after_candidate,
+        TestFunctional("sign(W1)", lambda ctx, si: np.sign(ctx.W1)),
+        TestFunctional("sign(W-W1/2)", lambda ctx, si: np.sign(ctx.W[:, si] - ctx.level[:, 0])),
+    )),
+    "honest": lambda cfg: _last_passage_record(
+        cfg, _honest_block, "g", pre=(_honest_before_candidate, (0.1, 0.9)),
+        post=(_honest_after_candidate,)),
     "pitman": lambda cfg: Scenario(
         _pitman_block,
         (Leg("", _pitman_candidate, lambda s, t: _pitman_functionals(),

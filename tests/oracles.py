@@ -202,7 +202,7 @@ def emery_conditional_law_rows(cfg: ScenarioConfig, t_check: float = 0.5, bins: 
     ti = cfg.grid().index_of(t_check)
 
     def tile(ctx):
-        return np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check), ctx.xi > t_check
+        return np.abs(ctx.W[:, ti]) / math.sqrt(1.0 - t_check), ctx.tau > t_check
 
     ys, alive = zip(*scenarios._map_tiles(cfg, _emery_block, tile))  # a run's tiles
     y = np.concatenate(ys)

@@ -338,7 +338,7 @@ def test_criterion_9_after_drift_integrable():
     t_left = grid.times()[:-1]
 
     def tile(ctx):
-        active = (t_left[None, :] >= ctx.xi[:, None] + 0.01) & (
+        active = (t_left[None, :] >= ctx.tau[:, None] + 0.01) & (
             t_left[None, :] <= 0.99 - grid.dt
         )
         rows, cols = np.nonzero(active)

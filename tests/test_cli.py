@@ -560,22 +560,29 @@ class TestConsoleScript:
         # a fresh interpreter: this one has scipy.special loaded already
         import filtralab
 
+        # the last-passage controls and emery-after, whose after rate is in
+        # closed form, evaluate no Z; each corrected run with a leg stopped at
+        # a last passage (sys.argv[1]) does
         script = "\n".join([
             "import sys",
             "from filtralab.cli import main",
             "small = ['--n-paths', '200', '--dt', '0.01', '--seed', '2']",
-            "for sc in ('pitman', 'bridge', 'supremum'):",
+            "for sc in ('pitman', 'bridge', 'supremum', 'emery-after'):",
             "    assert main(['--scenario', sc] + small) in (0, 1)",
+            "for sc in ('honest', 'emery-before', 'emery-after'):",
+            "    assert main(['--scenario', sc, '--no-correction'] + small) in (0, 1)",
             "for sc in ('glue-demo', 'elemint-check'):",
             "    assert main(['--scenario', sc, '--seed', '2']) in (0, 1)",
             "assert 'scipy.special' not in sys.modules",
-            "assert main(['--scenario', 'honest'] + small) in (0, 1)",
+            "assert main(['--scenario', sys.argv[1]] + small) in (0, 1)",
             "assert 'scipy.special' in sys.modules",
         ])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(filtralab.__file__))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        for loads in ("honest", "emery-before"):
+            proc = subprocess.run([sys.executable, "-c", script, loads],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

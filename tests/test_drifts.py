@@ -36,24 +36,26 @@ def _drift(candidate, cfg, ctx):
     return np.diff(raw - candidate(cfg, ctx), axis=1)[0]
 
 
-def _stopped(tau, dndw, z):
-    """The shared before-candidate with the rate dNdW / max(Z, 1e-300) of
-    constant hand-given (dNdW, Z)."""
-
-    def rate(ctx):
-        return np.full(ctx.W[:, :-1].shape, dndw / max(z, 1e-300))
-
-    return lambda cfg, ctx: sc._stopped_candidate(cfg, ctx, np.array([tau]), 0.0, rate)
-
-
-def _hand_parts(monkeypatch, dndw, z, kernel="_honest_rate_parts"):
-    """Patch a rate-parts kernel to return constant hand-given (dNdW, Z)."""
+def _parts(dndw, z):
+    """A rate-parts kernel returning constant hand-given (dNdW, Z)."""
 
     def parts(ctx):
         shape = ctx.W[:, :-1].shape
         return np.full(shape, dndw), np.full(shape, z)
 
-    monkeypatch.setattr(sc, kernel, parts)
+    return parts
+
+
+def _stopped(tau, dndw, z):
+    """The shared before-candidate, stopped at tau at level 0, with the rate
+    dNdW / max(Z, 1e-300) of constant hand-given (dNdW, Z)."""
+    return lambda cfg, ctx: sc._stopped_candidate(
+        cfg, dataclasses.replace(ctx, tau=np.array([tau]), level=0.0), _parts(dndw, z))
+
+
+def _hand_parts(monkeypatch, dndw, z, kernel="_honest_rate_parts"):
+    """Patch a rate-parts kernel to return constant hand-given (dNdW, Z)."""
+    monkeypatch.setattr(sc, kernel, _parts(dndw, z))
 
 
 def _h_quad(y):
@@ -154,7 +156,7 @@ class TestProgressiveDrift:
     def test_underflowed_Z_gives_zero_rate_in_each_run(self, monkeypatch, kernel, candidate):
         # as above, through each run's own before-rate
         _hand_parts(monkeypatch, 0.0, 0.0, kernel)
-        ctx = _ctx(0.1, np.zeros(5), g=1.0, xi=1.0, W1=0.0)
+        ctx = _ctx(0.1, np.zeros(5), tau=1.0, level=0.0)
         assert np.all(_drift(candidate, _cfg(0.1), ctx) == 0.0)
 
     def test_emery_instance_rate_zero_at_origin_level(self):
@@ -167,7 +169,7 @@ class TestHonestDrift:
     def test_two_sided_rates(self, monkeypatch):
         _hand_parts(monkeypatch, 0.2, 0.5)
         # |W| >= 0.3 everywhere: the after-side damping weight is 1
-        ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
+        ctx = _ctx(0.1, np.full(10, 0.5), tau=0.45, level=0.0)
         cfg = _cfg(0.1, delta=0.1)
         before = _drift(sc._honest_before_candidate, cfg, ctx)
         after = _drift(sc._honest_after_candidate, cfg, ctx)
@@ -182,7 +184,7 @@ class TestHonestDrift:
 
     def test_zero_dndw_zero_drift(self, monkeypatch):
         _hand_parts(monkeypatch, 0.0, 0.5)
-        ctx = _ctx(0.1, np.full(10, 0.5), g=0.45)
+        ctx = _ctx(0.1, np.full(10, 0.5), tau=0.45, level=0.0)
         for candidate in (sc._honest_before_candidate, sc._honest_after_candidate):
             assert np.all(_drift(candidate, _cfg(0.1), ctx) == 0.0)
 
@@ -258,7 +260,7 @@ class TestEmeryAfterDrift:
 
     def test_window_masking(self):
         grid = TimeGrid(0.1, 9)
-        ctx = _ctx(0.1, np.linspace(0.0, 0.9, 10), W1=0.9, xi=0.3)
+        ctx = _ctx(0.1, np.linspace(0.0, 0.9, 10), W1=0.9, tau=0.3, level=0.45)
         inc = _drift(sc._emery_after_candidate, _cfg(0.1, delta=0.1), ctx)
         t_left = grid.times()[:-1]
         outside = (t_left < 0.4 - 1e-12) | (grid.times()[1:] > 0.9 + 1e-12)

@@ -63,17 +63,17 @@ def _emery_law(t):
 
 
 @pytest.mark.parametrize(
-    "scenario, field, law",
+    "scenario, law",
     [
         # the last zero before 1 follows the arcsine law
-        ("honest", "g", lambda s: 2.0 / math.pi * math.asin(math.sqrt(s))),
+        ("honest", lambda s: 2.0 / math.pi * math.asin(math.sqrt(s))),
         # the last passage at W_1/2 before 1
-        ("emery-before", "xi", _emery_law),
+        ("emery-before", _emery_law),
     ],
     ids=["honest-g", "emery-xi"],
 )
-def test_last_passage_block(scenario, field, law):
-    tau = _columns(scenario, 9, lambda ctx, grid: getattr(ctx, field))
+def test_last_passage_block(scenario, law):
+    tau = _columns(scenario, 9, lambda ctx, grid: ctx.tau)
     for s in (0.1, 0.5, 0.9):
         _assert_proportion(tau <= s, law(s))
 

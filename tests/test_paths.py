@@ -226,7 +226,7 @@ def _step_maxima(ctx):
     return P._bridge_max(ctx.W[:, :-1], ctx.W[:, 1:], grid.dt, u)
 
 
-class TestRunningSupremum:
+class TestRunningMax:
     """The supremum block samples the continuum running supremum exactly."""
 
     def test_direct_definition(self):
@@ -378,7 +378,7 @@ class TestCrossings:
         assert last_level_crossing(p, 0.0, 1.0) == 0.0
 
 
-class TestNextSupIncrease:
+class TestSupremumRecordTimes:
     """Record times: the midpoint of the next step in which the supremum
     rises, completed past the horizon by one exact first-passage draw."""
 
@@ -416,7 +416,7 @@ class TestNextSupIncrease:
             assert ctx.Ttimes[i, -1] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
 
 
-class TestExtractEnlargement:
+class TestBlockInvariants:
     def test_fields_and_invariants(self):
         cfg = sc.ScenarioConfig(scenario="pitman", dt=1e-2, seed=19)
         grid = cfg.grid()
@@ -426,13 +426,13 @@ class TestExtractEnlargement:
         sup = sc._supremum_block(cfg, grid, 0, 5)
         assert np.all(np.diff(sup.U, axis=1) >= 0.0)
         assert np.all(sup.Ttimes >= grid.times())
-        xi = sc._emery_block(cfg, grid, 0, 5).xi
-        g = sc._honest_block(cfg, grid, 0, 5).g
+        xi = sc._emery_block(cfg, grid, 0, 5).tau
+        g = sc._honest_block(cfg, grid, 0, 5).tau
         for tau in (xi, g):
             assert np.all((0.0 <= tau) & (tau <= grid.horizon))
 
 
-class TestBracketEstimate:
+class TestBrownianBlockVariation:
     def test_brownian_quadratic_variation(self):
         grid = TimeGrid(1e-4, 10_000)
         path = sc._brownian_block(grid, 17, 0, 1)[0]

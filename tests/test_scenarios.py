@@ -212,8 +212,8 @@ class TestCandidateConsistency:
         x = sc._emery_before_candidate(cfg, ctx)
         for i in range(8):
             rate = dndw_want[i] / z_want[i]
-            dt_eff = np.clip(ctx.xi[i] - t[:-1], 0.0, cfg.dt)
-            stopped = np.where(t < ctx.xi[i], ctx.W[i], ctx.W1[i] / 2.0)
+            dt_eff = np.clip(ctx.tau[i] - t[:-1], 0.0, cfg.dt)
+            stopped = np.where(t < ctx.tau[i], ctx.W[i], ctx.W1[i] / 2.0)
             want = stopped - np.concatenate([[0.0], np.cumsum(rate * dt_eff)])
             assert np.allclose(x[i], want, atol=1e-6)
 
@@ -459,10 +459,10 @@ class TestFunctionalCatalog:
         ctx = sc._emery_block(cfg, grid, 0, 300)
         s = 0.5
         si = grid.index_of(s)
-        funcs = sc._after_functionals("xi", cfg, s)
+        funcs = sc._RECORDS["emery-after"](cfg).legs[0].functionals(s, 0.7)
         w1_func = [f for f in funcs if f.id == "mask*sign(W1)"][0]
         vals = w1_func.values(ctx, si)
-        hidden = ctx.xi > s - cfg.delta
+        hidden = ctx.tau > s - cfg.delta
         assert np.all(vals[hidden] == 0.0)
 
 
@@ -485,9 +485,9 @@ class TestDrive:
         from filtralab.cli import main
 
         def block(cfg, grid, lo, hi):
-            return replace(sc._bridge_block(cfg, grid, lo, hi), xi=np.arange(lo, hi, dtype=float))
+            return replace(sc._bridge_block(cfg, grid, lo, hi), tau=np.arange(lo, hi, dtype=float))
 
-        late = TestFunctional("late", lambda ctx, si: np.where(ctx.xi >= 900, 2.0, 0.0))
+        late = TestFunctional("late", lambda ctx, si: np.where(ctx.tau >= 900, 2.0, 0.0))
         leg = sc.Leg("", lambda cfg, ctx: ctx.W, lambda s, t: [late], ((0.2, 0.4),))
         monkeypatch.setitem(sc._RECORDS, "bridge", lambda cfg: sc.Scenario(block, (leg,)))
         cfg = sc.ScenarioConfig(scenario="bridge", dt=0.01, n_paths=1000, seed=1)
@@ -565,7 +565,7 @@ def test_stopped_candidate_is_the_level_from_tau_on(monkeypatch, name, field, pr
     # the level from there on, so paths stopped by s add exact zeros
     cfg = sc.ScenarioConfig(scenario=name, dt=0.01, n_paths=3000, seed=3)
     ctx = sc._RECORDS[name](cfg).block(cfg, cfg.grid(), 0, 3000)
-    tau = getattr(ctx, field)
+    tau = ctx.tau
     assert np.mean(np.isin(tau, ctx.times)) > 0.4
     for control in (False, True):
         for tile_rows in (100, 1297):  # 1 297: the default tile at dt 1e-2
@@ -638,8 +638,9 @@ class TestTraceHooks:
         assert missing == []
 
     def test_supremum_bridge_maxima_are_traced(self, monkeypatch):
-        # _supremum_block imports _bridge_max per call, so the trace's wrapper
-        # on paths._bridge_max records supremum's bridge maxima too
+        # _supremum_block calls paths._running_max, which looks _bridge_max up
+        # in paths' globals, so the trace's wrapper on paths._bridge_max
+        # records supremum's bridge maxima too
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
         tracer = importlib.import_module("layertrace").Tracer()
         tracer.install()
